@@ -1,27 +1,10 @@
-"""Thread-pool helper honoring the GAUGECALC_THREADS environment variable.
+"""Ordered map over independent items.
 
-All library computations are pure, so mapping with a pool preserves the
-result exactly as long as output order is kept; ``parallel_map`` keeps it.
+The coarse loops (verifier points, gauge samples, sequence members) go
+through this one function, so they can be timed or replaced in one place.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("GAUGECALC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def parallel_map(fn, items):
-    """Order-preserving map; uses threads when GAUGECALC_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items], in order."""
+    return [fn(it) for it in items]

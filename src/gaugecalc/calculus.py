@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._par import parallel_map
-from .funcspace import IntervalFunction, PointFunction
+from .funcspace import IntervalFunction, as_scalar
 from .hk import hk_integrate
 from .intervals import Box, as_rational
 from .limits import one_sided_limit
-from .mc import ControlFunction1D, McVerdict, MctDivergenceError, chebyshev_points, mct_control, verify_mc
+from .mc import (ControlFunction1D, McVerdict, MctDivergenceError, chebyshev_points,
+                 diverging_column, mct_control, verify_mc)
 
 
 @dataclass
@@ -59,14 +60,6 @@ class IdentityReport:
         }
 
 
-def _fn(f) -> Callable[[float], float]:
-    f = PointFunction.resolve(f) if isinstance(f, (str,)) else f
-    if isinstance(f, PointFunction):
-        fast = f.fast_eval
-        return lambda t: fast((t,))
-    return f
-
-
 def _box(a, b) -> Box:
     return Box.of((as_rational(a), as_rational(b)))
 
@@ -84,7 +77,7 @@ def _integrate(f, a, b, tol) -> float:
 def check_parts(f, F, g, G, interval, tol: float = 1e-6) -> IdentityReport:
     """Integration by parts: int f G = [F G] - int F g."""
     a, b = float(interval[0]), float(interval[1])
-    ff, Ff, gf, Gf = _fn(f), _fn(F), _fn(g), _fn(G)
+    ff, Ff, gf, Gf = as_scalar(f), as_scalar(F), as_scalar(g), as_scalar(G)
     itol = tol / 8.0
     lhs = _integrate(lambda t: ff(t) * Gf(t), a, b, itol)
     boundary = one_sided_limit(
@@ -102,7 +95,7 @@ def check_change_of_variables(F, f, g, interval, tol: float = 1e-6) -> IdentityR
     (c, d) is obtained from one-sided limits of the strictly increasing F.
     """
     a, b = float(interval[0]), float(interval[1])
-    Ff, ff, gf = _fn(F), _fn(f), _fn(g)
+    Ff, ff, gf = as_scalar(F), as_scalar(f), as_scalar(g)
     grid = chebyshev_points(a, b, 33)
     for u, v in zip(grid, grid[1:]):
         if not Ff(u) < Ff(v):
@@ -155,7 +148,7 @@ def check_monotone(
     tol: float = 1e-10,
 ) -> MonotoneVerdict:
     """Indefinite table of a positive integrand must be positive cellwise."""
-    ff = _fn(f)
+    ff = as_scalar(f)
     bad = [p for p in sample_points if ff(float(p)) < 0.0]
     if bad:
         return MonotoneVerdict(False, False, [(None, float(p)) for p in bad])
@@ -179,7 +172,7 @@ class ConstancyReport:
 
 def constancy_check(F1, F2, sample_points: Sequence[float]) -> ConstancyReport:
     """Max deviation of F1 - F2 from its mean over the samples."""
-    f1, f2 = _fn(F1), _fn(F2)
+    f1, f2 = as_scalar(F1), as_scalar(F2)
     diffs = [f1(float(p)) - f2(float(p)) for p in sample_points]
     mean = sum(diffs) / len(diffs)
     return ConstancyReport(max(abs(d - mean) for d in diffs), mean)
@@ -292,14 +285,12 @@ def mct_experiment(
 
     grid = chebyshev_points(a, b, 17)
     violations = []
-    fns = [_fn(m) for m in members]
+    fns = [as_scalar(m) for m in members]
     for k in range(len(fns) - 1):
         for x in grid:
             if fns[k](x) > fns[k + 1](x) + 1e-12:
                 violations.append([k + 1, x])
                 break
-
-    from .mc import diverging_column
 
     divergent = diverging_column(column) or any(
         not math.isfinite(v) or abs(v) > 1e12 for v in column

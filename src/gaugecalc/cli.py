@@ -1,9 +1,9 @@
 """Batch front-end: parse experiment configs, dispatch to modules, emit tables.
 
 Exit codes: 0 pass/convergence, 1 checked failure, 2 usage or config error.
-Flags override values from --config (a flat JSON object); outputs are
-written atomically and deterministically (same config + seed, same bytes,
-independent of GAUGECALC_THREADS).
+Flags override values from --config (a flat JSON object); a subcommand
+accepts only the flags and config keys it reads.  Outputs are written
+atomically and deterministically (same config, same bytes).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .calculus import (
 )
 from .funcspace import IntervalFunction, ParseError, PointFunction, SuperadditiveFn
 from .hk import (
+    DP_DEPTH_CAP,
+    TagEvalError,
     cumulative,
     delta_variation_bruteforce,
     delta_variation_dp,
@@ -66,12 +68,11 @@ def _parse_box(text) -> Box:
         raise ConfigError(f"invalid box {text!r}: {e}") from e
 
 
-def _resolve_G(name, box: Box):
-    if name in (None, "", "length", "volume"):
-        return IntervalFunction.volume(box.dim)
-    if isinstance(name, str) and name.startswith("heaviside_"):
-        return IntervalFunction.heaviside(name[len("heaviside_"):])
-    return IntervalFunction.from_generator(PointFunction.resolve(name))
+def _endpoints(box: Box):
+    if box.dim != 1:
+        raise ConfigError(f"needs a 1-D box, got {box}")
+    (lo, hi), = box.intervals
+    return lo, hi
 
 
 def _write_atomic(path: str, data: str):
@@ -115,7 +116,7 @@ def _emit(cfg, rows, json_obj):
 def run_integrate(cfg) -> int:
     box = _parse_box(cfg.get("box", "[0,1]"))
     f = PointFunction.resolve(cfg["f"])
-    G = _resolve_G(cfg.get("G"), box)
+    G = IntervalFunction.resolve(cfg.get("G"), box.dim)
     result = hk_integrate(
         f, G, box, tol=cfg.get("tol", 1e-6), budget=int(cfg.get("budget", 10**7))
     )
@@ -134,7 +135,7 @@ def run_indefinite(cfg) -> int:
     box = _parse_box(cfg.get("box", "[0,1]"))
     table = indefinite_hk(
         PointFunction.resolve(cfg["f"]),
-        _resolve_G(cfg.get("G"), box),
+        IntervalFunction.resolve(cfg.get("G"), box.dim),
         box,
         depth=int(cfg.get("depth", 4)),
         tol=cfg.get("tol", 1e-6),
@@ -151,8 +152,7 @@ def run_indefinite(cfg) -> int:
 
 
 def run_verify_mc(cfg) -> int:
-    box = _parse_box(cfg.get("box", "[-1,1]"))
-    (lo, hi), = box.intervals
+    lo, hi = _endpoints(_parse_box(cfg.get("box", "[-1,1]")))
     domain = (float(lo), float(hi))
     F = PointFunction.resolve(cfg["F"])
     f = PointFunction.resolve(cfg["f"])
@@ -196,7 +196,7 @@ def run_convert(cfg) -> int:
     if direction == "to-gauge":
         eps = cfg.get("eps", 0.01)
         n = int(cfg.get("samples", 65))
-        (lo, hi), = box.intervals
+        lo, hi = _endpoints(box)
         samples = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
         try:
             gauge = gauge_from_control(
@@ -283,10 +283,10 @@ def run_identity(cfg) -> int:
         return 0 if all(r.passed for r in reports) else CHECK_FAILED
     if kind == "monotone":
         box = _parse_box(cfg.get("box", "[0,1]"))
+        lo, hi = _endpoints(box)
         f = PointFunction.resolve(cfg.get("f", "2*x"))
         table = indefinite_hk(f, None, box, depth=int(cfg.get("depth", 6)),
                               tol=cfg.get("tol", 1e-8))
-        (lo, hi), = box.intervals
         verdict = check_monotone(f=f, F_table=table,
                                  sample_points=chebyshev_points(float(lo), float(hi), 33))
         rows = [["precondition_ok", "passed"],
@@ -296,10 +296,10 @@ def run_identity(cfg) -> int:
         return 0 if verdict.passed else CHECK_FAILED
     if kind == "constancy":
         box = _parse_box(cfg.get("box", "[0,1]"))
+        lo, hi = _endpoints(box)
         f = PointFunction.resolve(cfg.get("f", "2*x"))
         depth = int(cfg.get("depth", 6))
         table = indefinite_hk(f, None, box, depth=depth, tol=cfg.get("tol", 1e-9))
-        (lo, hi), = box.intervals
         F1 = cumulative(table, lo)
         F2 = cumulative(table, (lo + hi) / 2)
         n = 2**depth
@@ -344,8 +344,7 @@ def _mct_family(preset: str, K: int):
 def run_mct(cfg) -> int:
     K = int(cfg.get("K", 64))
     member, f, F_seq, F = _mct_family(cfg.get("preset", "min-inv-sqrt"), K)
-    box = _parse_box(cfg.get("box", "[0,1]"))
-    (lo, hi), = box.intervals
+    lo, hi = _endpoints(_parse_box(cfg.get("box", "[0,1]")))
     report = mct_experiment(
         member, f, (float(lo), float(hi)), K,
         tol=cfg.get("tol", 1e-3), F_seq=F_seq, F=F,
@@ -360,17 +359,32 @@ def run_mct(cfg) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+# Each subcommand with the flags (config keys) it reads; `kind` is the
+# positional argument of `identity`.
 COMMANDS = {
-    "integrate": run_integrate,
-    "indefinite": run_indefinite,
-    "verify-mc": run_verify_mc,
-    "variation": run_variation,
-    "convert": run_convert,
-    "identity": run_identity,
-    "mct": run_mct,
+    "integrate": (run_integrate, ("f", "G", "box", "tol", "budget")),
+    "indefinite": (run_indefinite, ("f", "G", "box", "depth", "tol", "budget")),
+    "verify-mc": (run_verify_mc, ("F", "f", "phi", "box", "at", "samples", "tol")),
+    "variation": (run_variation,
+                  ("box", "psi_c", "psi_p", "delta", "depth", "grid")),
+    "convert": (run_convert, ("direction", "f", "box", "depth", "tol", "eps",
+                              "samples", "K")),
+    "identity": (run_identity, ("kind", "preset", "f", "a", "b", "c", "box",
+                                "depth", "tol", "dev_tol")),
+    "mct": (run_mct, ("preset", "K", "box", "tol")),
 }
+_COMMON = ("out", "format")
 
-_FLOAT_KEYS = ("tol", "eps", "delta", "psi_c", "psi_p", "dev_tol")
+_FLAG_TYPES = {
+    "tol": float, "eps": float, "delta": float, "psi_c": float,
+    "psi_p": float, "dev_tol": float,
+    "budget": int, "depth": int, "samples": int, "K": int,
+}
+_CHOICES = {
+    "kind": ("parts", "change", "additivity", "monotone", "constancy"),
+    "direction": ("to-gauge", "to-control"),
+    "format": ("csv", "json"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -379,45 +393,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="gauge-integration and controlled-derivative toolkit",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name, (_run, keys) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config; flags override it")
-        p.add_argument("--f")
-        p.add_argument("--F")
-        p.add_argument("--g")
-        p.add_argument("--G")
-        p.add_argument("--phi")
-        p.add_argument("--box")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        if name == "identity":
-            p.add_argument("kind", choices=(
-                "parts", "change", "additivity", "monotone", "constancy"))
-            p.add_argument("--preset")
-            p.add_argument("--a")
-            p.add_argument("--b")
-            p.add_argument("--c")
-            p.add_argument("--dev-tol", dest="dev_tol", type=float)
-        if name == "verify-mc":
-            p.add_argument("--at")
-            p.add_argument("--samples", type=int)
-        if name == "variation":
-            p.add_argument("--grid")
-            p.add_argument("--delta", type=float)
-            p.add_argument("--psi-c", dest="psi_c", type=float)
-            p.add_argument("--psi-p", dest="psi_p", type=float)
-        if name == "convert":
-            p.add_argument("--direction", choices=("to-gauge", "to-control"))
-            p.add_argument("--eps", type=float)
-            p.add_argument("--K", type=int)
-            p.add_argument("--samples", type=int)
-        if name == "mct":
-            p.add_argument("--preset")
-            p.add_argument("--K", type=int)
+        for key in keys + _COMMON:
+            flag = key if key == "kind" else "--" + key.replace("_", "-")
+            p.add_argument(flag, type=_FLAG_TYPES.get(key, str),
+                           choices=_CHOICES.get(key))
     return parser
 
 
@@ -435,15 +417,20 @@ def _load_config(path: str) -> dict:
 
 
 def _validate(cfg: dict):
-    for key in _FLOAT_KEYS:
-        if key in cfg and cfg[key] is not None and not float(cfg[key]) > 0.0:
+    for key, kind in _FLAG_TYPES.items():
+        if kind is float and cfg.get(key) is not None and not float(cfg[key]) > 0.0:
             raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
-    if "budget" in cfg and cfg["budget"] is not None and int(cfg["budget"]) < 1:
+    if cfg.get("budget") is not None and int(cfg["budget"]) < 1:
         raise ConfigError("budget must be >= 1")
-    for key in ("f", "F", "g", "G", "phi"):
+    if cfg.get("depth") is not None and not 0 <= int(cfg["depth"]) <= DP_DEPTH_CAP:
+        raise ConfigError(f"depth must be in 0..{DP_DEPTH_CAP}, got {cfg['depth']}")
+    for key in ("f", "F", "G", "phi"):
         if cfg.get(key) is not None:
             try:
-                PointFunction.resolve(cfg[key])
+                if key == "G":
+                    IntervalFunction.resolve(cfg[key], 1)
+                else:
+                    PointFunction.resolve(cfg[key])
             except (ParseError, ValueError) as e:
                 raise ConfigError(f"--{key} {cfg[key]!r}: {e}") from e
 
@@ -454,26 +441,26 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cfg = {}
-    if getattr(args, "config", None):
-        try:
-            cfg.update(_load_config(args.config))
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return USAGE_ERROR
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key] = value
     try:
+        if args.config:
+            cfg.update(_load_config(args.config))
+            unread = sorted(set(cfg) - set(flags))
+            if unread:
+                raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
+        cfg.update((k, v) for k, v in flags.items() if v is not None)
         _validate(cfg)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, ParseError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except KeyError as e:
         print(f"config error: missing required option {e}", file=sys.stderr)
         return USAGE_ERROR
+    except TagEvalError as e:
+        print(f"evaluation error: {e}", file=sys.stderr)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

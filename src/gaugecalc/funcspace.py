@@ -502,6 +502,16 @@ class PointFunction:
         return f"PointFunction({self.name})"
 
 
+def as_scalar(fn) -> Callable[[float], float]:
+    """float -> float view of expression text, a PointFunction or a callable."""
+    if isinstance(fn, str):
+        fn = PointFunction.resolve(fn)
+    if isinstance(fn, PointFunction):
+        fast = fn.fast_eval
+        return lambda t: fast((t,))
+    return fn
+
+
 def _hk_primitive(x: float) -> float:
     # declared value 0 at the singular point; x*x underflow treated alike
     if x == 0.0 or x * x == 0.0:
@@ -551,6 +561,15 @@ class IntervalFunction:
     def __init__(self, kind: str, **data):
         self.kind = kind  # 'corner' | 'table'
         self.__dict__.update(data)
+
+    @classmethod
+    def resolve(cls, G, dim: int) -> "IntervalFunction":
+        """Volume for None/"length"/"volume", else G or its corner generator."""
+        if G is None or (isinstance(G, str) and G in ("", "length", "volume")):
+            return cls.volume(dim)
+        if isinstance(G, IntervalFunction):
+            return G
+        return cls.from_generator(G)
 
     @classmethod
     def from_generator(cls, g) -> "IntervalFunction":

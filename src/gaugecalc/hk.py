@@ -194,10 +194,9 @@ class _Geom:
 
 
 class _SingularAnchor:
-    """Exact containment tests for one declared singular point."""
+    """Exact containment test for one declared singular point."""
 
     def __init__(self, point, box: Box):
-        self.point = point
         self.floats = tuple(float(c) for c in point)
         # coordinate of the point in box units, exact
         self.rel = tuple(
@@ -209,17 +208,6 @@ class _SingularAnchor:
         for r, j in zip(self.rel, js):
             scaled = r * (1 << d)
             if not (j <= scaled <= j + 1):
-                return False
-        return True
-
-    def maybe(self, key, geom: _Geom) -> bool:
-        # cheap float prefilter with one-cell slack
-        d, js = key
-        scale = 0.5**d
-        for i, (x, j) in enumerate(zip(self.floats, js)):
-            lo = geom.lo[i] + (j - 1) * geom.width[i] * scale
-            hi = geom.lo[i] + (j + 2) * geom.width[i] * scale
-            if not (lo <= x <= hi):
                 return False
         return True
 
@@ -327,12 +315,16 @@ class _Tree:
         trap = total / len(corners) * self.g_eval(key)
         return abs(trap - s1)
 
-    def _probe(self, key):
-        """(singular_index, s1) for a cell, one f evaluation."""
+    def _probe(self, key, test_anchors):
+        """(singular_index, s1) for a cell, one f evaluation.
+
+        A cell can contain an anchor only if its parent does, so the
+        anchors are tested only at the root and below singular cells.
+        """
         singular = None
-        if self.anchors:
+        if test_anchors:
             for i, a in enumerate(self.anchors):
-                if a.maybe(key, self.geom) and a.contained(key):
+                if a.contained(key):
                     singular = i
                     break
         tag = self.anchors[singular].floats if singular is not None \
@@ -347,15 +339,16 @@ class _Tree:
     # -- leaf management
 
     def make_leaf(self, key, probe=None, l2=None, l3=None, ring=None):
-        singular, s1 = probe if probe is not None else self._probe(key)
+        singular, s1 = probe if probe is not None else self._probe(key, True)
         children = self.geom.children
         if l2 is None:
-            l2 = [(ck,) + self._probe(ck) for ck in children(key)]
+            l2 = [(ck,) + self._probe(ck, singular is not None)
+                  for ck in children(key)]
         if l3 is None:
-            l3 = [
-                (gk,) + self._probe(gk) for c in l2 for gk in children(c[0])
-            ]
-        l4 = [(hk,) + self._probe(hk) for g in l3 for hk in children(g[0])]
+            l3 = [(gk,) + self._probe(gk, c[1] is not None)
+                  for c in l2 for gk in children(c[0])]
+        l4 = [(hk,) + self._probe(hk, g[1] is not None)
+              for g in l3 for hk in children(g[0])]
         s2 = pairwise_sum([c[2] for c in l2])
         s3 = pairwise_sum([g[2] for g in l3])
         s4 = pairwise_sum([h[2] for h in l4])
@@ -646,14 +639,6 @@ class _Tree:
         )
 
 
-def _resolve_G(G, box: Box) -> IntervalFunction:
-    if G is None:
-        return IntervalFunction.volume(box.dim)
-    if isinstance(G, IntervalFunction):
-        return G
-    return IntervalFunction.from_generator(G)
-
-
 def hk_integrate(
     f,
     G,
@@ -671,7 +656,7 @@ def hk_integrate(
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
     f = PointFunction.resolve(f)
-    tree = _Tree(f, _resolve_G(G, box), box, budget, max_depth)
+    tree = _Tree(f, IntervalFunction.resolve(G, box.dim), box, budget, max_depth)
     return tree.run(tol)
 
 
@@ -691,7 +676,7 @@ def indefinite_hk(
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
     f = PointFunction.resolve(f)
-    G = _resolve_G(G, box)
+    G = IntervalFunction.resolve(G, box.dim)
     tree = _Tree(f, G, box, budget, max(MAX_DEPTH_DEFAULT, depth))
     result = tree.run(tol, min_depth=depth)
 
@@ -737,7 +722,7 @@ def indefinite_hk(
 def cell_errors(f, G, box: Box, depth: int) -> list:
     """One-level Cauchy defects |s(Q) - sum s(children)| on a dyadic grid."""
     f = PointFunction.resolve(f)
-    G = _resolve_G(G, box)
+    G = IntervalFunction.resolve(G, box.dim)
     singular = [p for p in getattr(f, "singular_points", ()) if box.contains(p)]
 
     def tag(b):

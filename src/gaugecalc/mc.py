@@ -18,10 +18,10 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._par import parallel_map
-from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn
+from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn, as_scalar
 from .hk import delta_variation_dp_table, pairwise_sum
 from .intervals import (
     Box,
@@ -76,15 +76,6 @@ def diverging_column(values: Sequence[float]) -> bool:
     return diffs[-1] > tiny and diffs[-1] >= 0.6 * max(diffs[0], tiny)
 
 
-def _scalar(fn) -> Callable[[float], float]:
-    if isinstance(fn, PointFunction):
-        fast = fn.fast_eval
-        return lambda t: fast((t,))
-    if isinstance(fn, str):
-        return _scalar(PointFunction.resolve(fn))
-    return fn
-
-
 class ControlFunction1D:
     """Strictly increasing real function on an open interval.
 
@@ -94,7 +85,7 @@ class ControlFunction1D:
     """
 
     def __init__(self, fn, domain, label: str = "phi", jumps: tuple = ()):
-        self.fn = _scalar(fn)
+        self.fn = as_scalar(fn)
         self.domain = (float(domain[0]), float(domain[1]))
         self.label = label
         self.jumps = tuple(jumps)
@@ -159,10 +150,10 @@ def mc_defect(
     Probes are geometrically spaced on both sides within each level band;
     q(h) is the maximum over all probes with 0 < |y-x| <= h.
     """
-    F = _scalar(F)
-    f = _scalar(f)
+    F = as_scalar(F)
+    f = as_scalar(f)
     phi_c = phi if isinstance(phi, ControlFunction1D) else None
-    phi = _scalar(phi)
+    phi = as_scalar(phi)
     levels = [float(h) for h in h_levels]
     if any(b >= a for a, b in zip(levels, levels[1:])) or not levels:
         raise ValueError("h_levels must be strictly decreasing")
@@ -245,15 +236,22 @@ class McVerdict:
         return rows
 
 
-def _judge(qs: Sequence[float], tol: float):
+def _verdict(tol: float, h_levels: tuple, points, profiles) -> McVerdict:
     """Threshold at the finest level plus a factor-2 decay-trend check."""
-    if qs[-1] > tol:
-        return "threshold"
-    if len(qs) >= 3 and not (
-        qs[-1] <= 2.0 * qs[-2] and qs[-2] <= 2.0 * qs[-3]
-    ):
-        return "trend"
-    return None
+    verdict = McVerdict(True, tol, h_levels)
+    for x, qs in zip(points, profiles):
+        verdict.points.append(McPointRecord(x, tuple(qs)))
+        reason = None
+        if qs[-1] > tol:
+            reason = "threshold"
+        elif len(qs) >= 3 and not (
+            qs[-1] <= 2.0 * qs[-2] and qs[-2] <= 2.0 * qs[-3]
+        ):
+            reason = "trend"
+        if reason is not None:
+            verdict.passed = False
+            verdict.failures.append(McFailure(x, qs[-1], reason))
+    return verdict
 
 
 def verify_mc(
@@ -273,18 +271,13 @@ def verify_mc(
         if not domain[0] < p < domain[1]:
             raise ValueError(f"sample point {p} not interior to {domain}")
 
+    F, f, phi = as_scalar(F), as_scalar(f), as_scalar(phi)
+
     def at(p):
         return mc_defect(F, f, phi, p, h_levels, probes_per_level, domain)
 
-    profiles = parallel_map(at, pts)
-    verdict = McVerdict(True, tol, tuple(float(h) for h in h_levels))
-    for p, qs in zip(pts, profiles):
-        verdict.points.append(McPointRecord(p, tuple(qs)))
-        reason = _judge(qs, tol)
-        if reason is not None:
-            verdict.passed = False
-            verdict.failures.append(McFailure(p, qs[-1], reason))
-    return verdict
+    levels = tuple(float(h) for h in h_levels)
+    return _verdict(tol, levels, pts, parallel_map(at, pts))
 
 
 def _tested_boxes(box: Box, x, level: int, allow_translates: bool) -> list:
@@ -304,6 +297,24 @@ def _tested_boxes(box: Box, x, level: int, allow_translates: bool) -> list:
     return boxes
 
 
+def _residuals(F, G, Phi, box: Box):
+    """residuals(x, fx, k) yields (Q, |F(Q) - fx G(Q)|, Phi(Q)), fx = f(x).
+
+    The tested boxes Q are the depth-k dyadic cell containing x plus,
+    when every operand can be evaluated off the dyadic grid (no table
+    kind), its half-cell translates clipped to the domain.
+    """
+    translates = all(
+        getattr(o, "kind", "corner") != "table" for o in (F, G, Phi)
+    )
+
+    def residuals(x, fx, level):
+        for Q in _tested_boxes(box, x, level, translates):
+            yield Q, abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q)
+
+    return residuals
+
+
 def verify_mc_nd(
     F: IntervalFunction,
     f,
@@ -316,41 +327,30 @@ def verify_mc_nd(
 ) -> McVerdict:
     """Interval-function variant: q over shrinking boxes containing x.
 
-    Tested boxes per level are the dyadic cell containing x plus, when
-    every operand can be evaluated off the dyadic grid (no table kind),
-    its half-cell translates clipped to the domain.
+    q at depth k is the worst |F(Q) - f(x) G(Q)| / Phi(Q) over the boxes
+    tested by `_residuals`.
     """
     f = PointFunction.resolve(f)
     levels = list(depth_levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("depth_levels must be a nonempty increasing sequence")
-    translates = all(
-        getattr(o, "kind", "corner") != "table" for o in (F, G, Phi)
-    )
+    residuals = _residuals(F, G, Phi, box)
 
     def at(point):
-        point = as_point(point)
+        fx = f(point)
         qs = []
         for k in levels:
             worst = 0.0
-            for Q in _tested_boxes(box, point, k, translates):
-                num = abs(F.value(Q) - f(point) * G.value(Q))
-                den = Phi.value(Q)
+            for _Q, num, den in residuals(point, fx, k):
                 worst = max(worst, num / den)
             qs.append(worst)
         return qs
 
     pts = [as_point(p) for p in sample_points]
-    profiles = parallel_map(at, pts)
-    verdict = McVerdict(True, tol, tuple(2.0**-k for k in levels))
-    for p, qs in zip(pts, profiles):
-        xr = float(p[0]) if len(p) == 1 else tuple(float(c) for c in p)
-        verdict.points.append(McPointRecord(xr, tuple(qs)))
-        reason = _judge(qs, tol)
-        if reason is not None:
-            verdict.passed = False
-            verdict.failures.append(McFailure(xr, qs[-1], reason))
-    return verdict
+    xs = [float(p[0]) if len(p) == 1 else tuple(float(c) for c in p)
+          for p in pts]
+    return _verdict(tol, tuple(2.0**-k for k in levels), xs,
+                    parallel_map(at, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def combine_controls(
     if mode == "compose":
         if F is None:
             raise ValueError("compose mode needs the inner function F")
-        Ff = _scalar(F)
+        Ff = as_scalar(F)
         a, b = phi.domain
         grid = chebyshev_points(a, b, check_points)
         for u, v in zip(grid, grid[1:]):
@@ -435,7 +435,7 @@ def glue_controls(F1, phi1: ControlFunction1D, F2, phi2: ControlFunction1D):
     b2, c = phi2.domain
     if b != b2:
         raise ValueError(f"domains must share the glue point: {b} vs {b2}")
-    F1s, F2s = _scalar(F1), _scalar(F2)
+    F1s, F2s = as_scalar(F1), as_scalar(F2)
     step_l = (b - a) / 8.0
     step_r = (c - b) / 8.0
     F1b = one_sided_limit(F1s, b, -1, step_l)
@@ -494,7 +494,7 @@ def bounded_control(
         a_k, b_k = windows[k]
         if not a_k < b_k:
             raise ValueError(f"window {k + 1} is empty: {windows[k]}")
-        fn = _scalar(phis[k])
+        fn = as_scalar(phis[k])
         lo, hi = fn(a_k), fn(b_k)
         if not lo < hi:
             raise ValueError(
@@ -542,7 +542,7 @@ def mct_control(
     if n < 1 or len(f_seq) != n or len(phi_seq) != n:
         raise ValueError("F_seq, f_seq, phi_seq must share a positive length")
     step = (b - a) / 8.0
-    fns = [_scalar(Fk) for Fk in F_seq]
+    fns = [as_scalar(Fk) for Fk in F_seq]
     try:
         base = [one_sided_limit(fn, a, +1, step) for fn in fns]
         tops = [one_sided_limit(fn, b, -1, step) for fn in fns]
@@ -558,7 +558,7 @@ def mct_control(
         )
 
     if F is not None:
-        Fs = _scalar(F)
+        Fs = as_scalar(F)
         limit_end = one_sided_limit(Fs, b, -1, step) - one_sided_limit(
             Fs, a, +1, step
         )
@@ -587,7 +587,7 @@ def mct_control(
     grid = chebyshev_points(a, b, 33)
     bounded = []
     for k in selected:
-        fn = _scalar(phi_seq[k])
+        fn = as_scalar(phi_seq[k])
         vals = [fn(t) for t in grid]
         lo, hi = min(vals), max(vals)
         span = hi - lo
@@ -662,17 +662,14 @@ def gauge_from_control(
         raise ValueError(
             f"table-backed F only reaches depth {F.depth}, requested {depth}"
         )
-    translates = all(
-        getattr(o, "kind", "corner") != "table" for o in (F, G, Phi)
-    )
+    residuals = _residuals(F, G, Phi, box)
 
     def delta_at(point) -> float:
-        point = as_point(point)
+        fx = f(point)
         worst_fail = math.inf
         for level in range(depth + 1):
-            for Q in _tested_boxes(box, point, level, translates):
-                ok = abs(F.value(Q) - f(point) * G.value(Q)) < eps * Phi.value(Q)
-                if not ok:
+            for Q, num, den in residuals(point, fx, level):
+                if not num < eps * den:
                     if level == depth:
                         raise NoGaugeError(
                             f"inequality fails at the finest scale at "

@@ -21,6 +21,7 @@ from gaugecalc import (
     riemann_sum,
     volume_power_cell_fn,
 )
+from gaugecalc import hk
 from gaugecalc.hk import table_to_csv_rows
 from gaugecalc.intervals import dyadic_cells
 
@@ -144,6 +145,34 @@ class TestHkIntegrate:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             hk_integrate("x", LENGTH, Box.unit(), tol=0.0)
+
+    def test_inherited_singular_status_matches_exact_test(self):
+        # 1/4 and 1/3 share cells down to depth 3; 1/3 is not dyadic, so a
+        # float test can misplace it in cells deeper than about 53 levels
+        anchors = (Fraction(1, 4), Fraction(1, 3))
+
+        def peaks(x):
+            gaps = [abs(x - float(a)) for a in anchors]
+            return 0.0 if 0.0 in gaps else sum(g**-0.5 for g in gaps)
+
+        f = PointFunction.from_callable(peaks, "peaks", singular_points=anchors)
+        tree = hk._Tree(f, LENGTH, Box.unit(), 20_000, 50)
+        seen = []
+        probe = tree._probe
+
+        def recording(key, test_anchors):
+            out = probe(key, test_anchors)
+            seen.append((key, out[0]))
+            return out
+
+        tree._probe = recording
+        tree.run(1e-6)
+        for key, singular in seen:
+            exact = next((i for i, a in enumerate(tree.anchors)
+                          if a.contained(key)), None)
+            assert singular == exact, key
+        assert {s for _, s in seen} == {None, 0, 1}
+        assert max(k[0] for k, s in seen if s is not None) > 53
 
 
 class TestIndefinite:
