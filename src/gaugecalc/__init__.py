@@ -33,6 +33,7 @@ from .hk import (
     delta_variation_bruteforce,
     delta_variation_dp,
     delta_variation_dp_table,
+    delta_variation_dp_tables,
     hk_integrate,
     indefinite_hk,
     pairwise_sum,

@@ -118,7 +118,7 @@ def run_integrate(cfg) -> int:
     f = PointFunction.resolve(cfg["f"])
     G = IntervalFunction.resolve(cfg.get("G"), box.dim)
     result = hk_integrate(
-        f, G, box, tol=cfg.get("tol", 1e-6), budget=int(cfg.get("budget", 10**7))
+        f, G, box, tol=cfg.get("tol", 1e-6), budget=cfg.get("budget", 10**7)
     )
     rows = [
         ["value", "error_estimate", "evaluations", "max_depth", "converged"],
@@ -137,9 +137,9 @@ def run_indefinite(cfg) -> int:
         PointFunction.resolve(cfg["f"]),
         IntervalFunction.resolve(cfg.get("G"), box.dim),
         box,
-        depth=int(cfg.get("depth", 4)),
+        depth=cfg.get("depth", 4),
         tol=cfg.get("tol", 1e-6),
-        budget=int(cfg.get("budget", 10**7)),
+        budget=cfg.get("budget", 10**7),
     )
     rows = table_to_csv_rows(table)
     _emit(cfg, rows, {
@@ -161,7 +161,7 @@ def run_verify_mc(cfg) -> int:
         raw = cfg["at"]
         points = [float(Fraction(p)) for p in str(raw).split(",")]
     else:
-        points = chebyshev_points(domain[0], domain[1], int(cfg.get("samples", 33)))
+        points = chebyshev_points(domain[0], domain[1], cfg.get("samples", 33))
     verdict = verify_mc(F, f, phi, domain, points, tol=cfg.get("tol", 1e-3))
     _emit(cfg, verdict.to_csv_rows(), verdict.to_json_dict())
     for w in verdict.failures:
@@ -173,7 +173,7 @@ def run_variation(cfg) -> int:
     box = _parse_box(cfg.get("box", "[0,1]"))
     psi = volume_power_cell_fn(cfg.get("psi_c", 1.0), cfg.get("psi_p", 1))
     gauge = Gauge.constant(cfg.get("delta", 2.0))
-    depth = int(cfg.get("depth", 4))
+    depth = cfg.get("depth", 4)
     dp_value = delta_variation_dp(psi, box, gauge, depth)
     rows = [["method", "value"], ["dp", repr(dp_value)]]
     payload = {"dp": dp_value}
@@ -189,13 +189,13 @@ def run_variation(cfg) -> int:
 def run_convert(cfg) -> int:
     box = _parse_box(cfg.get("box", "[0,1]"))
     f = PointFunction.resolve(cfg.get("f", "2*x"))
-    depth = int(cfg.get("depth", 10))
+    depth = cfg.get("depth", 10)
     table = indefinite_hk(f, None, box, depth=depth, tol=cfg.get("tol", 1e-10))
     G = IntervalFunction.volume(box.dim)
     direction = cfg.get("direction", "to-gauge")
     if direction == "to-gauge":
         eps = cfg.get("eps", 0.01)
-        n = int(cfg.get("samples", 65))
+        n = cfg.get("samples", 65)
         lo, hi = _endpoints(box)
         samples = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
         try:
@@ -213,7 +213,7 @@ def run_convert(cfg) -> int:
                                       sorted(gauge.sample_values.items())}})
         return 0
     if direction == "to-control":
-        K = int(cfg.get("K", 6))
+        K = cfg.get("K", 6)
         psi = residual_cell_fn(f, G, table)
         gauges = [Gauge.constant(2.0**-k) for k in range(1, K + 1)]
         try:
@@ -285,7 +285,7 @@ def run_identity(cfg) -> int:
         box = _parse_box(cfg.get("box", "[0,1]"))
         lo, hi = _endpoints(box)
         f = PointFunction.resolve(cfg.get("f", "2*x"))
-        table = indefinite_hk(f, None, box, depth=int(cfg.get("depth", 6)),
+        table = indefinite_hk(f, None, box, depth=cfg.get("depth", 6),
                               tol=cfg.get("tol", 1e-8))
         verdict = check_monotone(f=f, F_table=table,
                                  sample_points=chebyshev_points(float(lo), float(hi), 33))
@@ -298,7 +298,7 @@ def run_identity(cfg) -> int:
         box = _parse_box(cfg.get("box", "[0,1]"))
         lo, hi = _endpoints(box)
         f = PointFunction.resolve(cfg.get("f", "2*x"))
-        depth = int(cfg.get("depth", 6))
+        depth = cfg.get("depth", 6)
         table = indefinite_hk(f, None, box, depth=depth, tol=cfg.get("tol", 1e-9))
         F1 = cumulative(table, lo)
         F2 = cumulative(table, (lo + hi) / 2)
@@ -342,7 +342,7 @@ def _mct_family(preset: str, K: int):
 
 
 def run_mct(cfg) -> int:
-    K = int(cfg.get("K", 64))
+    K = cfg.get("K", 64)
     member, f, F_seq, F = _mct_family(cfg.get("preset", "min-inv-sqrt"), K)
     lo, hi = _endpoints(_parse_box(cfg.get("box", "[0,1]")))
     report = mct_experiment(
@@ -417,12 +417,19 @@ def _load_config(path: str) -> dict:
 
 
 def _validate(cfg: dict):
+    """Check cfg in place; a config value takes the type of its flag."""
     for key, kind in _FLAG_TYPES.items():
-        if kind is float and cfg.get(key) is not None and not float(cfg[key]) > 0.0:
+        if key not in cfg:
+            continue
+        try:
+            cfg[key] = kind(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}") from None
+        if kind is float and not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
-    if cfg.get("budget") is not None and int(cfg["budget"]) < 1:
+    if cfg.get("budget") is not None and cfg["budget"] < 1:
         raise ConfigError("budget must be >= 1")
-    if cfg.get("depth") is not None and not 0 <= int(cfg["depth"]) <= DP_DEPTH_CAP:
+    if cfg.get("depth") is not None and not 0 <= cfg["depth"] <= DP_DEPTH_CAP:
         raise ConfigError(f"depth must be in 0..{DP_DEPTH_CAP}, got {cfg['depth']}")
     for key in ("f", "F", "G", "phi"):
         if cfg.get(key) is not None:

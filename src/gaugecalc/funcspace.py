@@ -20,7 +20,7 @@ the exact additivity checks for corner-generated interval functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -63,6 +63,15 @@ class Expr:
 @dataclass(frozen=True)
 class Num(Expr):
     value: Fraction
+    # float(value) once; None on overflow, so evaluation raises as before
+    fvalue: Optional[float] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            fvalue = float(self.value)
+        except OverflowError:
+            fvalue = None
+        object.__setattr__(self, "fvalue", fvalue)
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,8 @@ def _max_var(e: Expr) -> int:
 
 def _eval(e: Expr, xs: tuple) -> float:
     if isinstance(e, Num):
-        return float(e.value)
+        v = e.fvalue
+        return float(e.value) if v is None else v
     if isinstance(e, Var):
         return xs[e.index]
     if isinstance(e, Bin):

@@ -825,38 +825,42 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
     return overall
 
 
-def _dp_candidates(cell: Box):
-    return (cell.center, *cell.corners())
-
-
-def delta_variation_dp_table(psi, box: Box, gauge, depth: int) -> dict:
-    """V values for every dyadic cell of `box` down to `depth`.
+def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
+    """One table per gauge of V for every dyadic cell of `box` to `depth`.
 
     Recurrence: V(Q) = max(best admissible tag value, sum V(children));
     realizes the superadditive envelope on the dyadic class.  Cells whose
-    subtree admits no delta-fine configuration carry -inf.
+    subtree admits no delta-fine configuration carry -inf.  One walk
+    serves every gauge: psi(Q, t) is evaluated at most once per (cell,
+    tag), and only when some gauge admits the pair.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
-    table = {}
+    tables = [{} for _ in gauges]
 
-    def rec(cell: Box, d: int) -> float:
-        best = -math.inf
-        for t in _dp_candidates(cell):
-            if _diam_lt(cell, gauge(t)):
+    def rec(cell: Box, d: int) -> list:
+        bests = [-math.inf] * len(tables)
+        for t in (cell.center, *cell.corners()):
+            fine = [i for i, g in enumerate(gauges) if _diam_lt(cell, g(t))]
+            if fine:
                 v = abs(psi(cell, t))
-                if v > best:
-                    best = v
+                for i in fine:
+                    bests[i] = max(bests[i], v)
         if d < depth:
             subs = [rec(child, d + 1) for child in cell.bisect()]
-            total = pairwise_sum(subs)  # -inf propagates
-            if total > best:
-                best = total
-        table[cell] = best
-        return best
+            # -inf propagates through the sums
+            bests = [max(b, pairwise_sum(s)) for b, s in zip(bests, zip(*subs))]
+        for table, best in zip(tables, bests):
+            table[cell] = best
+        return bests
 
     rec(box, 0)
-    return table
+    return tables
+
+
+def delta_variation_dp_table(psi, box: Box, gauge, depth: int) -> dict:
+    """V values for every dyadic cell of `box` down to `depth`."""
+    return delta_variation_dp_tables(psi, box, [gauge], depth)[0]
 
 
 def delta_variation_dp(psi, box: Box, gauge, depth: int) -> float:

@@ -1,9 +1,9 @@
 """Boxes, partitions, tagged partitions and gauges with exact endpoints.
 
 Geometry is exact: box endpoints are `fractions.Fraction`, and every
-overlap / cover / fineness decision is made in rational arithmetic (a float
-gauge value is converted exactly before comparison).  Only function
-evaluation elsewhere in the package uses floating point.
+overlap / cover / fineness decision is exact (a float gauge value is
+compared in floats only where that agrees with rational arithmetic).  Only
+function evaluation elsewhere in the package uses floating point.
 """
 
 from __future__ import annotations
@@ -112,9 +112,17 @@ class Box:
     def diameter_sq(self) -> Fraction:
         return sum(((hi - lo) ** 2 for lo, hi in self.intervals), Fraction(0))
 
+    @cached_property
+    def diameter_sq_float(self) -> float:
+        """float(diameter_sq), correctly rounded; inf when it overflows."""
+        try:
+            return float(self.diameter_sq)
+        except OverflowError:
+            return math.inf
+
     @property
     def diameter(self) -> float:
-        return math.sqrt(float(self.diameter_sq))
+        return math.sqrt(self.diameter_sq_float)
 
     @cached_property
     def center(self) -> Point:
@@ -346,12 +354,23 @@ class TaggedPartition:
         )
 
 
+_NORMAL_MIN = 2.0**-1022  # smallest normal float
+_BELOW, _ABOVE = 1.0 - 2.0**-50, 1.0 + 2.0**-50
+
+
 def _diam_lt(cell: Box, delta: float) -> bool:
-    """diam(cell) < delta, decided exactly (delta converted to Fraction)."""
+    """diam(cell) < delta, decided exactly: in floats when both squares
+    are normal and differ by over a relative 2^-50 (each square is
+    correctly rounded, so the float order is the exact order), else in
+    Fractions."""
     if delta <= 0.0:
         return False
     if math.isinf(delta):
         return True
+    d2, e2 = cell.diameter_sq_float, delta * delta
+    if _NORMAL_MIN <= d2 < math.inf and _NORMAL_MIN <= e2 < math.inf:
+        if d2 < e2 * _BELOW or d2 > e2 * _ABOVE:
+            return d2 < e2
     return cell.diameter_sq < Fraction(delta) ** 2
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from ._par import parallel_map
 from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn, as_scalar
-from .hk import delta_variation_dp_table, pairwise_sum
+from .hk import delta_variation_dp_tables, pairwise_sum
 from .intervals import (
     Box,
     Gauge,
@@ -603,11 +603,12 @@ def mct_control(
     def phi(t: float) -> float:
         total = t
         w = 1.0
+        ref = F_ref(t) - base_ref
         for j_idx, (k, (fn, lo, span, margin)) in enumerate(terms, start=1):
             w *= 0.5
             psi = (fn(t) - lo) / span * (1.0 - 2.0 * margin) + margin
             total += w * psi
-            total += j_idx * ((F_ref(t) - base_ref) - (fns[k](t) - base[k]))
+            total += j_idx * (ref - (fns[k](t) - base[k]))
         return total
 
     control = ControlFunction1D(phi, (a, b), label=f"mct series K={len(terms)}")
@@ -716,9 +717,8 @@ def control_from_gauges(
     K = min(K, len(gauges))
     if K < 1:
         raise ValueError("need at least one gauge")
-    tables = []
-    for k in range(1, K + 1):
-        table = delta_variation_dp_table(psi, box, gauges[k - 1], depth)
+    tables = delta_variation_dp_tables(psi, box, gauges[:K], depth)
+    for k, table in enumerate(tables, start=1):
         root = table[box]
         if root == -math.inf:
             raise CertificationError(
@@ -733,7 +733,6 @@ def control_from_gauges(
             raise CertificationError(
                 f"certified bound missing for k={k}: V={root} > 2^-{k}"
             )
-        tables.append(table)
 
     entries = {}
     for cell in tables[0]:

@@ -201,6 +201,21 @@ class TestErrors:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("integrate", {"f": "x", "tol": "abc"}, "tol"),
+        ("integrate", {"f": "x", "budget": "ten"}, "budget"),
+        ("indefinite", {"f": "x", "depth": "deep"}, "depth"),
+        ("integrate", {"f": "x", "tol": [1e-3]}, "tol"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, command, cfg, key,
+                                                capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: {key} must be")
+
     def test_help_lists_only_read_flags(self, capsys):
         with pytest.raises(SystemExit):
             main(["mct", "--help"])

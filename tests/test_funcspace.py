@@ -53,6 +53,17 @@ class TestParse:
         assert parse("x^2/3").eval((3.0,)) == 3.0
         assert parse("4/2^2").eval((0.0,)) == 1.0
 
+    def test_literal_float_leaves_equality_hash_and_text_alone(self):
+        third = Num(Fraction(1, 3))
+        assert third.fvalue == 1 / 3
+        assert parse("1/3") == third
+        assert hash(parse("1/3")) == hash(third) == hash((Fraction(1, 3),))
+        assert repr(third) == "Num(value=Fraction(1, 3))"
+        assert parse(to_text(third)) == third
+        # a literal too large for a float fails where it is evaluated
+        with pytest.raises(OverflowError):
+            parse("x+1" + "0" * 400).eval((0.5,))
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError):
             parse("y + 1")

@@ -15,6 +15,7 @@ from gaugecalc import (
     delta_variation_bruteforce,
     delta_variation_dp,
     delta_variation_dp_table,
+    delta_variation_dp_tables,
     hk_integrate,
     indefinite_hk,
     pairwise_sum,
@@ -175,6 +176,21 @@ class TestHkIntegrate:
         assert max(k[0] for k, s in seen if s is not None) > 53
 
 
+@pytest.mark.xfail(strict=True, reason="false convergence when every depth-1 "
+                   "cell holds a declared anchor; ROADMAP item 3 replaces "
+                   "the nest logic")
+def test_anchors_in_every_depth_1_cell_do_not_converge_falsely():
+    anchors = (Fraction(1, 4), Fraction(1, 3), Fraction(5, 7))
+
+    def peaks(x):
+        return sum(abs(x - float(a)) ** -0.5 for a in anchors if x != a)
+
+    f = PointFunction.from_callable(peaks, "peaks", singular_points=anchors)
+    exact = sum(2 * math.sqrt(a) + 2 * math.sqrt(1 - a) for a in anchors)
+    result = hk_integrate(f, LENGTH, Box.unit(), tol=1e-3)
+    assert not result.converged or abs(result.value - exact) <= 1e-3
+
+
 class TestIndefinite:
     def test_constant_depth_1(self):
         table = indefinite_hk("1", LENGTH, Box.unit(), depth=1, tol=1e-9)
@@ -318,6 +334,34 @@ class TestDeltaVariationDP:
                 ksum = sum(table[k] for k in kids)
                 if ksum > -math.inf:
                     assert value >= ksum - 1e-12
+
+    @pytest.mark.parametrize("box,depth", [(Box.unit(), 6), (Box.unit(2), 3)])
+    def test_one_walk_equals_one_run_per_gauge(self, box, depth):
+        def psi(cell, tag):
+            return float(cell.volume) ** 1.5 - 0.3 * float(sum(tag))
+
+        gauges = [Gauge.constant(0.3), Gauge.constant(2.0**-4),
+                  Gauge(lambda p: 0.05 + float(p[0]) / 2)]
+        tables = delta_variation_dp_tables(psi, box, gauges, depth)
+        for table, gauge in zip(tables, gauges):
+            alone = delta_variation_dp_table(psi, box, gauge, depth)
+            assert list(table.items()) == list(alone.items())
+
+    def test_psi_once_per_admitted_cell_and_tag(self):
+        calls = {}
+
+        def psi(cell, tag):
+            calls[cell, tag] = calls.get((cell, tag), 0) + 1
+            return float(cell.volume)
+
+        gauges = [Gauge.constant(2.0**-k) for k in (1, 3, 5)]
+        tables = delta_variation_dp_tables(psi, Box.unit(2), gauges, 5)
+        assert max(calls.values()) == 1
+        # only pairs some gauge admits: the coarsest gauge admits the most
+        admitted = {(cell, t) for cell in tables[0]
+                    for t in (cell.center, *cell.corners())
+                    if cell.diameter < gauges[0](t)}
+        assert set(calls) == admitted
 
     def test_works_in_2d(self):
         psi = volume_power_cell_fn(1.0, 2)

@@ -19,6 +19,7 @@ from gaugecalc import (
 )
 from gaugecalc.intervals import (
     DimensionMismatchError,
+    _diam_lt,
     dyadic_cell_containing,
     dyadic_cells,
 )
@@ -233,3 +234,28 @@ def test_dyadic_cell_contains_point(point, depth):
     cell = dyadic_cell_containing(Box.unit(), (point,), depth)
     assert cell.contains((point,))
     assert cell.volume == Fraction(1, 2**depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(-600, 600),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 3)),
+             min_size=1, max_size=2),
+    st.integers(0, 7),
+)
+def test_diam_lt_is_the_exact_test(k, axes, which):
+    # dyadic cells of side 2^-k from 2^600 down to 2^-600, so the squared
+    # diameter ranges over normal, subnormal, zero and overflowing floats;
+    # in 2-D the second side is 2^-(k+offset), so the squared diameter is
+    # often a float that the square of a float near the diameter rounds
+    # to.  delta is at or next to the diameter, or 0, a subnormal or inf.
+    sides = [Fraction(2) ** -(k + offset) for offset, _ in axes]
+    cell = Box(tuple((j * side, (j + 1) * side)
+                     for side, (_, j) in zip(sides, axes)))
+    near = math.hypot(*(math.ldexp(1.0, -(k + offset)) for offset, _ in axes))
+    down, up = math.nextafter(near, 0.0), math.nextafter(near, math.inf)
+    deltas = [near, down, up, math.nextafter(down, 0.0),
+              math.nextafter(up, math.inf), 0.0, 5e-324, math.inf]
+    delta = deltas[which]
+    exact = math.isinf(delta) or cell.diameter_sq < Fraction(delta) ** 2
+    assert _diam_lt(cell, delta) == exact
