@@ -36,7 +36,6 @@ from .hk import (
     delta_variation_dp_tables,
     hk_integrate,
     indefinite_hk,
-    pairwise_sum,
     residual_cell_fn,
     riemann_sum,
     volume_power_cell_fn,

@@ -1,6 +1,8 @@
 """Batch front-end: parse experiment configs, dispatch to modules, emit tables.
 
-Exit codes: 0 pass/convergence, 1 checked failure, 2 usage or config error.
+Exit codes: 0 pass/convergence, 1 checked failure (an integrand or control
+that fails where it is evaluated counts as one), 2 usage or config error
+(a ValueError raised on an argument of the library counts as one).
 Flags override values from --config (a flat JSON object); a subcommand
 accepts only the flags and config keys it reads.  Outputs are written
 atomically and deterministically (same config, same bytes).
@@ -26,7 +28,13 @@ from .calculus import (
     mct_experiment,
     suite_to_csv_rows,
 )
-from .funcspace import IntervalFunction, ParseError, PointFunction, SuperadditiveFn
+from .funcspace import (
+    EvalDomainError,
+    IntervalFunction,
+    ParseError,
+    PointFunction,
+    SuperadditiveFn,
+)
 from .hk import (
     DP_DEPTH_CAP,
     TagEvalError,
@@ -43,6 +51,7 @@ from .intervals import Box, Gauge
 from .mc import (
     CertificationError,
     ControlFunction1D,
+    InvalidControlError,
     NoGaugeError,
     chebyshev_points,
     control_from_gauges,
@@ -66,6 +75,14 @@ def _parse_box(text) -> Box:
         return Box.from_json(data)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"invalid box {text!r}: {e}") from e
+
+
+def _fractions(cfg, key) -> list:
+    """Comma-separated rational numbers of a config value."""
+    try:
+        return [Fraction(p) for p in str(cfg[key]).split(",")]
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"--{key} {cfg[key]!r}: {e}") from e
 
 
 def _endpoints(box: Box):
@@ -158,8 +175,7 @@ def run_verify_mc(cfg) -> int:
     f = PointFunction.resolve(cfg["f"])
     phi = ControlFunction1D.from_expr(cfg.get("phi", "x"), domain)
     if cfg.get("at") is not None:
-        raw = cfg["at"]
-        points = [float(Fraction(p)) for p in str(raw).split(",")]
+        points = [float(p) for p in _fractions(cfg, "at")]
     else:
         points = chebyshev_points(domain[0], domain[1], cfg.get("samples", 33))
     verdict = verify_mc(F, f, phi, domain, points, tol=cfg.get("tol", 1e-3))
@@ -178,7 +194,7 @@ def run_variation(cfg) -> int:
     rows = [["method", "value"], ["dp", repr(dp_value)]]
     payload = {"dp": dp_value}
     if cfg.get("grid"):
-        grid = [Fraction(g) for g in str(cfg["grid"]).split(",")]
+        grid = _fractions(cfg, "grid")
         bf_value = delta_variation_bruteforce(psi, box, gauge, grid)
         rows.append(["bruteforce", repr(bf_value)])
         payload["bruteforce"] = bf_value
@@ -196,6 +212,8 @@ def run_convert(cfg) -> int:
     if direction == "to-gauge":
         eps = cfg.get("eps", 0.01)
         n = cfg.get("samples", 65)
+        if n < 2:
+            raise ConfigError(f"samples must be >= 2, got {n}")
         lo, hi = _endpoints(box)
         samples = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
         try:
@@ -465,9 +483,15 @@ def main(argv=None) -> int:
     except KeyError as e:
         print(f"config error: missing required option {e}", file=sys.stderr)
         return USAGE_ERROR
-    except TagEvalError as e:
+    except (TagEvalError, EvalDomainError) as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return CHECK_FAILED
+    except InvalidControlError as e:
+        print(f"invalid control: {e}", file=sys.stderr)
+        return CHECK_FAILED
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .intervals import Box, Partition, as_point, point_floats
+from .intervals import Box, Partition, as_point, as_rational, fsum, point_floats
 
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
@@ -603,8 +603,6 @@ class IntervalFunction:
 
     @classmethod
     def heaviside(cls, c) -> "IntervalFunction":
-        from .intervals import as_rational
-
         return cls.from_generator(PointFunction.builtin(f"heaviside_{as_rational(c)}"))
 
     @classmethod
@@ -629,13 +627,10 @@ class IntervalFunction:
         if self.kind == "corner":
             if getattr(self, "_volume_fast", False):
                 return float(box.volume)
-            from .hk import pairwise_sum
-
-            terms = [
+            return fsum([
                 _corner_sign(corner, box) * self.generator(corner)
                 for corner in box.corners()
-            ]
-            return pairwise_sum(terms)
+            ])
         try:
             return self.entries[box]
         except KeyError:
@@ -677,8 +672,6 @@ class SuperadditiveFn:
 
     @classmethod
     def volume_power(cls, p, coeff=1) -> "SuperadditiveFn":
-        from .intervals import as_rational
-
         return cls(
             "volume_power",
             p=as_rational(p),
@@ -745,10 +738,7 @@ def partition_defect(H, parent: Box, partition) -> float:
             total += v
         if ok:
             return float(total - exact_parent)
-    from .hk import pairwise_sum
-
-    cells.sort(key=lambda c: c.intervals)
-    return pairwise_sum([H.value(c) for c in cells]) - H.value(parent)
+    return fsum([H.value(c) for c in cells]) - H.value(parent)
 
 
 def positivity_report(G: IntervalFunction, boxes: Sequence[Box]) -> list:

@@ -1,12 +1,17 @@
 """Riemann-Stieltjes sums, the adaptive gauge-driven integrator, indefinite
 tables, and delta-variation (1-D brute force + dyadic dynamic program).
 
-The integrator maintains a dyadic cell tree.  Every leaf carries tagged
-sums at three consecutive scales: s1 = f(tag) G(Q), s2 over its 2^n
-children, s3 over its 4^n grandchildren.  The refinement indicator is the
-Cauchy defect |s2 - s3| between the cell's composite sum and its
-children's, plus a fraction of |s1 - s2| as a guard against oscillatory
-aliasing; the leaf's contribution is the extrapolated s3 + (s3 - s2)/3.
+The integrator maintains a dyadic cell tree.  Every leaf carries
+midpoint-tagged sums at four consecutive scales: s1 = f(tag) G(Q), s2 over
+its 2^n children, s3 over its 4^n grandchildren, s4 over its 8^n
+great-grandchildren.  One Richardson step per scale pair gives m0, m1, m2
+(m1 = s3 + (s3 - s2)/3), and a second step gives the leaf's value
+m2 + (m2 - m1)/15.  The refinement indicator is the gap |m2 - m1|,
+cross-checked against |m2 - m0|; where the raw sums do not decay like a
+smooth second-order rule it falls back to |s3 - s4|.  Two guards add to
+it: a fraction of |s3 - s4| against oscillatory aliasing, and, when every
+composite agrees exactly, a fraction of the trapezoid-vs-midpoint gap
+against a feature hidden at the cell's edge.
 
 Cells containing a declared singular point of f are tagged at that point
 (the gauge-integration choice: the singular point must tag its own cell).
@@ -19,7 +24,9 @@ fixed interior-tag rule provably stalls.
 
 Internally the tree works on integer dyadic indices with float geometry
 for speed; exact rational geometry is restored at the API boundary (the
-cells of an indefinite table are exact `Box` objects).
+cells of an indefinite table are exact `Box` objects).  Every sum over
+cells is correctly rounded (`intervals.fsum`), so no sum depends on the
+order in which the cells are listed.
 """
 
 from __future__ import annotations
@@ -29,10 +36,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .funcspace import IntervalFunction, PointFunction
-from .intervals import Box, _diam_lt, as_rational, point_floats
+from .intervals import (
+    Box,
+    _diam_lt,
+    as_rational,
+    dyadic_cells,
+    enumerate_partitions,
+    fsum,
+    point_floats,
+)
 
 EVAL_BUDGET_DEFAULT = 10_000_000
 MAX_DEPTH_DEFAULT = 50
@@ -46,26 +61,6 @@ class TagEvalError(RuntimeError):
         self.cell = cell
         where = f" on {cell}" if cell is not None else ""
         super().__init__(f"evaluation failed at tag {point_floats(tag)}{where}: {cause}")
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """Deterministic pairwise (tree) summation in the given order."""
-    vals = list(values)
-    n = len(vals)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return vals[0]
-    if n == 2:
-        return vals[0] + vals[1]
-    if n == 4:
-        return (vals[0] + vals[1]) + (vals[2] + vals[3])
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 @dataclass
@@ -96,16 +91,15 @@ class CellError:
 
 
 def riemann_sum(f, G: IntervalFunction, tagged) -> float:
-    """sum f(tag) G(cell) over a tagged partition, in canonical cell order."""
+    """sum f(tag) G(cell) over a tagged partition, in any cell order."""
     f = PointFunction.resolve(f)
-    items = sorted(tagged, key=lambda it: it[0].intervals)
     terms = []
-    for cell, tag in items:
+    for cell, tag in tagged:
         try:
             terms.append(f(tag) * G.value(cell))
         except (ValueError, ArithmeticError) as e:
             raise TagEvalError(tag, cell, e) from e
-    return pairwise_sum(terms)
+    return fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +110,6 @@ def riemann_sum(f, G: IntervalFunction, tagged) -> float:
 
 ALIAS_GUARD = 0.005  # weight of the raw composite-pair defect (alias tripwire)
 EDGE_GUARD = 0.005  # weight of the trapezoid-vs-midpoint gap (edge tripwire)
-
-
-MAX_SORT_DEPTH = 80
-_SCALES = [0.5**d for d in range(MAX_SORT_DEPTH + 4)]
 
 
 class _Geom:
@@ -136,7 +126,7 @@ class _Geom:
 
     def bounds(self, key):
         d, js = key
-        scale = _SCALES[d]
+        scale = math.ldexp(1.0, -d)
         return [
             (self.lo[i] + js[i] * self.width[i] * scale,
              self.lo[i] + (js[i] + 1) * self.width[i] * scale)
@@ -145,7 +135,7 @@ class _Geom:
 
     def center(self, key):
         d, js = key
-        scale = _SCALES[d + 1]
+        scale = math.ldexp(1.0, -d - 1)
         if self.dim == 1:
             return (self.lo[0] + (2 * js[0] + 1) * self.width[0] * scale,)
         return tuple(
@@ -154,7 +144,7 @@ class _Geom:
         )
 
     def volume(self, key):
-        return self.vol0 * _SCALES[key[0] * self.dim]
+        return math.ldexp(self.vol0, -key[0] * self.dim)
 
     def children(self, key):
         d, js = key
@@ -184,13 +174,6 @@ class _Geom:
             w = (hi - lo) / 2**d
             pairs.append((lo + j * w, lo + (j + 1) * w))
         return Box(tuple(pairs))
-
-    def sort_key(self, key):
-        d, js = key
-        shift = MAX_SORT_DEPTH - d
-        if self.dim == 1:
-            return (js[0] << shift, d)
-        return tuple(j << shift for j in js) + (d,)
 
 
 class _SingularAnchor:
@@ -247,8 +230,7 @@ def _make_g_eval(G: IntervalFunction, geom: _Geom):
     if G.kind == "corner":
         if getattr(G, "_volume_fast", False):
             return geom.volume
-        gen = G.generator
-        fast = getattr(gen, "fast_eval", gen)
+        fast = G.generator.fast_eval
         signs = geom.corner_signs()
         if geom.dim == 1:
             def g_eval(key):
@@ -258,9 +240,7 @@ def _make_g_eval(G: IntervalFunction, geom: _Geom):
 
         def g_eval(key):
             corners = geom.corners(key)
-            return pairwise_sum(
-                [s * fast(c) for s, c in zip(signs, corners)]
-            )
+            return fsum([s * fast(c) for s, c in zip(signs, corners)])
         return g_eval
 
     def g_eval(key):
@@ -273,14 +253,14 @@ class _Tree:
     def __init__(self, f: PointFunction, G: IntervalFunction, box: Box,
                  budget, max_depth):
         self.geom = _Geom(box)
-        self.f_eval = getattr(f, "fast_eval", f)
+        self.f_eval = f.fast_eval
         self.g_eval = _make_g_eval(G, self.geom)
         self.budget = budget
         self.max_depth = max_depth
         self.tol = 0.0  # set by run()
         self.evals = 0
         self.leaves = {}  # key -> _Leaf
-        self.heap = []  # (-defect, sort_key, key) for refinable regular leaves
+        self.heap = []  # (-defect, key) for refinable regular leaves
         self.sum_values = 0.0
         self.sum_defects = 0.0  # regular leaves only
         self.anchors = [
@@ -291,7 +271,6 @@ class _Tree:
         self.chains = [_Chain() for _ in self.anchors]
         self.ring_values = {}  # (anchor_idx, ring) -> float
         self.ring_defects = {}
-        self.ring_counts = {}
 
     # -- evaluation helpers
 
@@ -349,9 +328,9 @@ class _Tree:
                   for c in l2 for gk in children(c[0])]
         l4 = [(hk,) + self._probe(hk, g[1] is not None)
               for g in l3 for hk in children(g[0])]
-        s2 = pairwise_sum([c[2] for c in l2])
-        s3 = pairwise_sum([g[2] for g in l3])
-        s4 = pairwise_sum([h[2] for h in l4])
+        s2 = fsum([c[2] for c in l2])
+        s3 = fsum([g[2] for g in l3])
+        s4 = fsum([h[2] for h in l4])
         if singular is not None:
             value = s1
             defect = abs(s1 - s2)
@@ -394,11 +373,8 @@ class _Tree:
             if ring is not None:
                 self.ring_values[ring] = self.ring_values.get(ring, 0.0) + value
                 self.ring_defects[ring] = self.ring_defects.get(ring, 0.0) + defect
-                self.ring_counts[ring] = self.ring_counts.get(ring, 0) + 1
             if key[0] < self.max_depth and defect > 0.0:
-                heapq.heappush(
-                    self.heap, (-defect, self.geom.sort_key(key), key)
-                )
+                heapq.heappush(self.heap, (-defect, key))
         return leaf
 
     def drop_leaf(self, leaf):
@@ -411,7 +387,6 @@ class _Tree:
             if leaf.ring is not None:
                 self.ring_values[leaf.ring] -= leaf.value
                 self.ring_defects[leaf.ring] -= leaf.defect
-                self.ring_counts[leaf.ring] -= 1
 
     def refine(self, leaf):
         self.drop_leaf(leaf)
@@ -453,7 +428,7 @@ class _Tree:
         # nest cannot claim precision its rings do not have yet.
         for idx, chain in enumerate(self.chains):
             R = chain.ring_count
-            raw = sum(abs(lf.s1 - lf.s2) for lf in self.chain_leaves(idx))
+            raw = fsum([abs(lf.s1 - lf.s2) for lf in self.chain_leaves(idx)])
             chain.correction = 0.0
             recent = 0.0
             for rr in (R - 1, R - 2):
@@ -548,7 +523,7 @@ class _Tree:
         """Worst regular leaves (within 4x of the max defect) + needy chains."""
         marks = []
         while self.heap:
-            neg, _sk, key = self.heap[0]
+            neg, key = self.heap[0]
             leaf = self.leaves.get(key)
             if leaf is None or leaf.singular is not None or -neg != leaf.defect:
                 heapq.heappop(self.heap)
@@ -568,21 +543,19 @@ class _Tree:
                 chain_marks.extend(ripe)
         threshold = 0.25 * max_defect
         while self.heap:
-            neg, _sk, key = heapq.heappop(self.heap)
+            neg, key = heapq.heappop(self.heap)
             leaf = self.leaves.get(key)
             if leaf is None or leaf.singular is not None or -neg != leaf.defect:
                 continue
             if -neg < threshold or -neg <= 0.0:
-                heapq.heappush(self.heap, (neg, _sk, key))
+                heapq.heappush(self.heap, (neg, key))
                 break
             marks.append(leaf)
-        marks.sort(key=lambda lf: self.geom.sort_key(lf.key))
+        marks.sort(key=lambda lf: lf.key)
         return chain_marks + marks
 
     def finalize_value(self):
-        ordered = sorted(self.leaves.values(),
-                         key=lambda lf: self.geom.sort_key(lf.key))
-        total = pairwise_sum([lf.value for lf in ordered])
+        total = fsum([lf.value for lf in self.leaves.values()])
         for chain in self.chains:
             total += chain.correction
         return total
@@ -594,7 +567,7 @@ class _Tree:
         while True:
             shallow = sorted(
                 (lf for lf in self.leaves.values() if lf.key[0] < min_depth),
-                key=lambda lf: self.geom.sort_key(lf.key),
+                key=lambda lf: lf.key,
             )
             if not shallow:
                 break
@@ -670,8 +643,9 @@ def indefinite_hk(
 ) -> IntervalFunction:
     """Table of integral values over all dyadic subcells down to `depth`.
 
-    Leaf sums are grouped bottom-up, so every parent equals the float sum
-    of its children exactly; accuracy is inherited from the adaptive run.
+    Leaf sums are grouped bottom-up, so every parent equals the correctly
+    rounded sum of its children (in 1-D, their float sum); accuracy is
+    inherited from the adaptive run.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
@@ -691,14 +665,13 @@ def indefinite_hk(
         return tuple(j >> (d - depth) for j in js)
 
     groups = {}
-    for leaf in sorted(tree.leaves.values(),
-                       key=lambda lf: tree.geom.sort_key(lf.key)):
+    for leaf in tree.leaves.values():
         groups.setdefault(ancestor(leaf.key), []).append(
             leaf.value + corrections.get(leaf.key, 0.0)
         )
 
     entries = {}
-    level = {js: pairwise_sum(vals) for js, vals in groups.items()}
+    level = {js: fsum(vals) for js, vals in groups.items()}
     for js, val in level.items():
         entries[tree.geom.to_box((depth, js))] = val
     for d in range(depth - 1, -1, -1):
@@ -708,7 +681,7 @@ def indefinite_hk(
                 level[tuple(2 * j + b for j, b in zip(js, bits))]
                 for bits in itertools.product((0, 1), repeat=box.dim)
             ]
-            parent_level[js] = pairwise_sum(children)
+            parent_level[js] = fsum(children)
             entries[tree.geom.to_box((d, js))] = parent_level[js]
         level = parent_level
 
@@ -735,11 +708,9 @@ def cell_errors(f, G, box: Box, depth: int) -> list:
         return f(tag(b)) * G.value(b)
 
     out = []
-    from .intervals import dyadic_cells
-
     for cell in dyadic_cells(box, depth):
         parent = s1(cell)
-        kids = pairwise_sum([s1(ch) for ch in cell.bisect()])
+        kids = fsum([s1(ch) for ch in cell.bisect()])
         out.append(CellError(cell, abs(parent - kids)))
     return out
 
@@ -790,8 +761,6 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
     only delta-fine configurations.  Returns -inf when no configuration
     is delta-fine.
     """
-    from .intervals import enumerate_partitions
-
     points = sorted({as_rational(g) for g in grid})
     tag_points = [(p,) for p in points]
     admissible = {}
@@ -821,7 +790,7 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
                 break
             terms.append(best)
         if ok:
-            overall = max(overall, pairwise_sum(terms))
+            overall = max(overall, fsum(terms))
     return overall
 
 
@@ -849,7 +818,7 @@ def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
         if d < depth:
             subs = [rec(child, d + 1) for child in cell.bisect()]
             # -inf propagates through the sums
-            bests = [max(b, pairwise_sum(s)) for b, s in zip(bests, zip(*subs))]
+            bests = [max(b, fsum(s)) for b, s in zip(bests, zip(*subs))]
         for table, best in zip(tables, bests):
             table[cell] = best
         return bests

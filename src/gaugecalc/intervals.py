@@ -8,6 +8,7 @@ function evaluation elsewhere in the package uses floating point.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -68,6 +69,18 @@ def as_point(value) -> Point:
 
 def point_floats(point: Point) -> tuple:
     return tuple(float(c) for c in point)
+
+
+def fsum(values: Sequence[float]) -> float:
+    """Correctly rounded float sum, so it does not depend on the order.
+
+    `math.fsum` raises when a partial sum overflows or meets inf - inf;
+    such a sum is inf or nan, and the plain float sum returns that.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
 
 
 @dataclass(frozen=True)
@@ -397,14 +410,11 @@ class Gauge:
 
     @classmethod
     def from_function(cls, fn: Callable, label: str = "gauge") -> "Gauge":
-        """Wrap a scalar-or-point callable; scalars are passed through."""
+        """Wrap a callable of a float (1-D points) or a float tuple."""
 
         def call(point):
             if len(point) == 1:
-                try:
-                    return fn(float(point[0]))
-                except TypeError:
-                    return fn(point_floats(point))
+                return fn(float(point[0]))
             return fn(point_floats(point))
 
         return cls(call, label=label)
@@ -429,9 +439,7 @@ class Gauge:
             x = point[0]
             if not xs:
                 return floor
-            import bisect as _bisect
-
-            i = _bisect.bisect_left(xs, x)
+            i = bisect.bisect_left(xs, x)
             if i < len(xs) and xs[i] == x:
                 return max(vs[i], floor)
             left = vs[i - 1] if i > 0 else None

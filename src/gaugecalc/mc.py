@@ -22,13 +22,14 @@ from typing import Optional, Sequence
 
 from ._par import parallel_map
 from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn, as_scalar
-from .hk import delta_variation_dp_tables, pairwise_sum
+from .hk import delta_variation_dp_tables
 from .intervals import (
     Box,
     Gauge,
     as_point,
     as_rational,
     dyadic_cell_containing,
+    fsum,
 )
 from .limits import LimitDivergesError, one_sided_limit
 
@@ -559,11 +560,10 @@ def mct_control(
 
     if F is not None:
         Fs = as_scalar(F)
-        limit_end = one_sided_limit(Fs, b, -1, step) - one_sided_limit(
-            Fs, a, +1, step
-        )
-        F_ref = Fs
+        top = one_sided_limit(Fs, b, -1, step)
         base_ref = one_sided_limit(Fs, a, +1, step)
+        limit_end = top - base_ref
+        F_ref = Fs
     else:
         limit_end = ends[-1]
         F_ref = fns[-1]
@@ -737,9 +737,7 @@ def control_from_gauges(
     entries = {}
     for cell in tables[0]:
         total = float(cell.volume)
-        total += pairwise_sum(
-            [k * tables[k - 1][cell] for k in range(1, K + 1)]
-        )
+        total += fsum([k * tables[k - 1][cell] for k in range(1, K + 1)])
         entries[cell] = total
     phi = SuperadditiveFn.from_table(
         entries, box, depth, name=f"|Q|+sum k*V_k (K={K})"

@@ -176,15 +176,35 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# (argv, exit code) of inputs that must end with one stderr line
+ONE_LINE_ERRORS = [
+    (["verify-mc", "--box", "[[0,1],[0,1]]"], 2),
+    (["indefinite", "--f", "x", "--depth", "99"], 2),
+    (["integrate", "--f", "log(x)", "--box", "[-1,1]"], 1),
+    (["verify-mc", "--F", "x", "--f", "1", "--at", "abc"], 2),
+    (["verify-mc", "--F", "x", "--f", "1", "--at", "2"], 2),
+    (["variation", "--grid", "0,abc,1"], 2),
+    (["variation", "--grid", "0,2,1"], 2),
+    (["convert", "--direction", "to-gauge", "--samples", "1"], 2),
+    (["convert", "--direction", "to-control", "--K", "0"], 2),
+    (["identity", "additivity", "--f", "x", "--a", "1", "--b", "0"], 2),
+    (["identity", "constancy", "--depth", "0"], 2),
+    (["verify-mc", "--F", "log(x)", "--f", "1/x"], 1),
+    (["verify-mc", "--F", "x", "--f", "1", "--phi", "0-x"], 1),
+    # partial sums overflow: the sum is nan, not an OverflowError
+    (["integrate", "--f", "10^300", "--box", "[0,200000000]"], 1),
+    # 2-D cells deeper than 41 levels
+    (["integrate", "--f", "(x1^2+x2^2)^(0-19/20)",
+      "--box", "[[0,1],[0,1]]", "--tol", "1e-4", "--budget", "200000"], 1),
+]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("argv", [
-        ["verify-mc", "--box", "[[0,1],[0,1]]"],
-        ["indefinite", "--f", "x", "--depth", "99"],
-        ["integrate", "--f", "log(x)", "--box", "[-1,1]"],
-    ])
-    def test_one_line_message_no_traceback(self, argv, capsys):
+    @pytest.mark.parametrize("argv,expected", ONE_LINE_ERRORS,
+                             ids=[f"argv{i}" for i in range(len(ONE_LINE_ERRORS))])
+    def test_one_line_message_no_traceback(self, argv, expected, capsys):
         code, _, err = run(argv, capsys)
-        assert code in (1, 2)
+        assert code == expected
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 

@@ -231,6 +231,17 @@ class TestPartitionDefect:
             part = random_dyadic_partition(Box.unit(), rng)
             assert partition_defect(H, Box.unit(), part) <= 1e-12
 
+    def test_permuted_cells_give_the_same_defect(self, rng):
+        # |Q|^(1/2) has no exact evaluation, so the float path is taken
+        H = SuperadditiveFn.volume_power("1/2")
+        for _ in range(10):
+            cells = list(random_dyadic_partition(Box.unit(), rng, max_depth=7))
+            permuted = list(cells)
+            rng.shuffle(permuted)
+            assert partition_defect(H, Box.unit(), permuted) == partition_defect(
+                H, Box.unit(), cells
+            )
+
     def test_volume_power_additive_for_p_1(self, rng):
         H = SuperadditiveFn.volume_power(1)
         for _ in range(10):

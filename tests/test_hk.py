@@ -18,7 +18,6 @@ from gaugecalc import (
     delta_variation_dp_tables,
     hk_integrate,
     indefinite_hk,
-    pairwise_sum,
     riemann_sum,
     volume_power_cell_fn,
 )
@@ -26,7 +25,7 @@ from gaugecalc import hk
 from gaugecalc.hk import table_to_csv_rows
 from gaugecalc.intervals import dyadic_cells
 
-from conftest import midpoint_oracle
+from conftest import midpoint_oracle, random_dyadic_partition
 
 
 LENGTH = IntervalFunction.length()
@@ -54,13 +53,22 @@ class TestRiemannSum:
         # invariant: sums of an additive interval function collapse to
         # the parent value under every refinement
         G = IntervalFunction.from_generator("x^2/3+x/5")
-        from conftest import random_dyadic_partition
-
         for _ in range(8):
             part = random_dyadic_partition(Box.unit(), rng)
             tp = TaggedPartition(Box.unit(), [(c, c.center) for c in part])
             assert riemann_sum("1", G, tp) == pytest.approx(
                 G.value(Box.unit()), abs=1e-12
+            )
+
+    def test_sum_does_not_depend_on_cell_order(self, rng):
+        G = IntervalFunction.from_generator("x^3")
+        for _ in range(8):
+            part = random_dyadic_partition(Box.unit(), rng, max_depth=7)
+            items = [(c, c.center) for c in part]
+            shuffled = list(items)
+            rng.shuffle(shuffled)
+            assert riemann_sum("sin(7*x)/(x+1/10)", G, shuffled) == riemann_sum(
+                "sin(7*x)/(x+1/10)", G, TaggedPartition(Box.unit(), items)
             )
 
     def test_eval_error_reports_tag(self):
@@ -72,6 +80,17 @@ class TestRiemannSum:
 
 
 class TestHkIntegrate:
+    def test_2d_nest_deeper_than_41_levels(self):
+        # the nest goes past depth 41, where a 2-D cell's volume 2^-2d
+        # is below 2^-83
+        f = PointFunction.from_callable(
+            lambda p: (p[0] ** 2 + p[1] ** 2) ** -0.95 if p != (0.0, 0.0) else 0.0,
+            "r^-1.9", dim=2, singular_points=((0, 0),),
+        )
+        result = hk_integrate(f, None, Box.unit(2), tol=1e-4, budget=120_000)
+        assert not result.converged
+        assert result.max_depth > 41
+
     def test_linear_exact(self):
         result = hk_integrate("2*x", LENGTH, Box.unit(), tol=1e-6)
         assert result.converged
@@ -376,11 +395,3 @@ class TestDeltaVariationDP:
         cells = list(dyadic_cells(Box.unit(), 2))
         manual = sum(psi(c, c.center) for c in cells)
         assert dp >= manual - 1e-15
-
-
-def test_pairwise_sum_matches_fsum():
-    rng = random.Random(7)
-    values = [rng.uniform(-1, 1) * 10**rng.randint(-8, 8) for _ in range(257)]
-    assert pairwise_sum(values) == pytest.approx(math.fsum(values), rel=1e-12)
-    assert pairwise_sum([]) == 0.0
-    assert pairwise_sum([3.25]) == 3.25

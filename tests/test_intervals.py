@@ -22,6 +22,7 @@ from gaugecalc.intervals import (
     _diam_lt,
     dyadic_cell_containing,
     dyadic_cells,
+    fsum,
 )
 
 from conftest import random_dyadic_partition
@@ -163,11 +164,31 @@ class TestCousin:
         assert is_partition(Box.unit(), rp.cells)
         assert rp.is_fine(gauge)
 
+    def test_from_function_raises_the_callers_own_type_error(self):
+        gauge = Gauge.from_function(lambda x: 0.1 if x < 0.5 else None + 1)
+        assert gauge((Fraction(1, 4),)) == 0.1
+        with pytest.raises(TypeError, match="NoneType"):
+            gauge((Fraction(3, 4),))
+
     def test_deterministic(self):
         gauge = Gauge.from_function(lambda x: 0.2 + x / 3)
         a = cousin_partition(Box.unit(), gauge)
         b = cousin_partition(Box.unit(), gauge)
         assert a.items == b.items
+
+
+class TestFsum:
+    def test_order_free(self, rng):
+        values = [rng.uniform(-1, 1) * 10**rng.randint(-8, 8) for _ in range(257)]
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        assert fsum(shuffled) == fsum(values) == math.fsum(values)
+        assert fsum([]) == 0.0
+
+    def test_non_finite_partials_give_inf_or_nan(self):
+        assert fsum([1e308, 1e308]) == math.inf
+        assert math.isnan(fsum([math.inf, -math.inf]))
+        assert fsum([-math.inf, 1.0]) == -math.inf
 
 
 class TestEnumeratePartitions:
