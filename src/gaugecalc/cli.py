@@ -313,10 +313,13 @@ def run_identity(cfg) -> int:
                           "passed": verdict.passed})
         return 0 if verdict.passed else CHECK_FAILED
     if kind == "constancy":
+        depth = cfg.get("depth", 6)
+        if depth < 1:
+            raise ConfigError(f"--depth {depth}: constancy needs depth >= 1 "
+                              "(F2 is based at the box midpoint)")
         box = _parse_box(cfg.get("box", "[0,1]"))
         lo, hi = _endpoints(box)
         f = PointFunction.resolve(cfg.get("f", "2*x"))
-        depth = cfg.get("depth", 6)
         table = indefinite_hk(f, None, box, depth=depth, tol=cfg.get("tol", 1e-9))
         F1 = cumulative(table, lo)
         F2 = cumulative(table, (lo + hi) / 2)

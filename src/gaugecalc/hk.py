@@ -22,6 +22,11 @@ indicator.  This converges for monotone endpoint blow-ups (inv_sqrt) and
 for oscillating-unbounded derivatives (hk_derivative) alike, where any
 fixed interior-tag rule provably stalls.
 
+A run stops when the summed defects and the change between two successive
+global sums are both below tol/2.  An indefinite table first refines every
+leaf down to its grid depth; these forced grid levels count as refinement
+rounds, so a table whose grid already meets tol stops at its grid depth.
+
 Internally the tree works on integer dyadic indices with float geometry
 for speed; exact rational geometry is restored at the API boundary (the
 cells of an indefinite table are exact `Box` objects).  Every sum over
@@ -562,8 +567,11 @@ class _Tree:
 
     def run(self, tol, min_depth=0):
         self.tol = tol
-        # initial uniform refinement (indefinite tables force a grid depth)
+        # initial uniform refinement (indefinite tables force a grid depth);
+        # each forced level is a refinement round, so the first check below
+        # compares the sums over the last two grid levels
         self.make_leaf((0, (0,) * self.geom.dim))
+        prev = None
         while True:
             shallow = sorted(
                 (lf for lf in self.leaves.values() if lf.key[0] < min_depth),
@@ -571,11 +579,12 @@ class _Tree:
             )
             if not shallow:
                 break
+            self.update_chains()
+            prev = self.total()[0]
             for leaf in shallow:
                 self.refine(leaf)
         self.update_chains()
 
-        prev = None
         delta = math.inf
         second_look = False
         while True:
@@ -645,7 +654,10 @@ def indefinite_hk(
 
     Leaf sums are grouped bottom-up, so every parent equals the correctly
     rounded sum of its children (in 1-D, their float sum); accuracy is
-    inherited from the adaptive run.
+    inherited from the adaptive run.  The levels of the forced grid count
+    as refinement rounds: the first convergence check compares the sums
+    over the depth-(depth-1) and depth-`depth` grids, so a table whose grid
+    already meets tol stops at its grid depth.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")

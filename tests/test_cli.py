@@ -208,6 +208,11 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_constancy_depth_0_names_the_flag(self, capsys):
+        code, out, err = run(["identity", "constancy", "--depth", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: --depth 0: constancy needs depth >= 1")
+
     def test_unread_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "--f", "x", "--depth", "5", "--phi", "x"])
