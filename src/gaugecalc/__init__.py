@@ -19,16 +19,12 @@ from .funcspace import (
     ParseError,
     PointFunction,
     SuperadditiveFn,
-    ifn_eval,
     parse,
     partition_defect,
-    positivity_report,
     to_text,
 )
 from .hk import (
-    CellError,
     IntegralResult,
-    cell_errors,
     cumulative,
     delta_variation_bruteforce,
     delta_variation_dp,
@@ -65,6 +61,6 @@ from .calculus import (
     constancy_check,
     mct_experiment,
 )
-from .limits import increment, one_sided_limit
+from .limits import one_sided_limit
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .funcspace import (
 )
 from .hk import (
     DP_DEPTH_CAP,
+    EVAL_BUDGET_DEFAULT,
     TagEvalError,
     cumulative,
     delta_variation_bruteforce,
@@ -135,7 +136,8 @@ def run_integrate(cfg) -> int:
     f = PointFunction.resolve(cfg["f"])
     G = IntervalFunction.resolve(cfg.get("G"), box.dim)
     result = hk_integrate(
-        f, G, box, tol=cfg.get("tol", 1e-6), budget=cfg.get("budget", 10**7)
+        f, G, box, tol=cfg.get("tol", 1e-6),
+        budget=cfg.get("budget", EVAL_BUDGET_DEFAULT),
     )
     rows = [
         ["value", "error_estimate", "evaluations", "max_depth", "converged"],
@@ -156,7 +158,7 @@ def run_indefinite(cfg) -> int:
         box,
         depth=cfg.get("depth", 4),
         tol=cfg.get("tol", 1e-6),
-        budget=cfg.get("budget", 10**7),
+        budget=cfg.get("budget", EVAL_BUDGET_DEFAULT),
     )
     rows = table_to_csv_rows(table)
     _emit(cfg, rows, {
@@ -364,6 +366,8 @@ def _mct_family(preset: str, K: int):
 
 def run_mct(cfg) -> int:
     K = cfg.get("K", 64)
+    if K < 1:
+        raise ConfigError(f"--K {K}: the sequence needs at least one member")
     member, f, F_seq, F = _mct_family(cfg.get("preset", "min-inv-sqrt"), K)
     lo, hi = _endpoints(_parse_box(cfg.get("box", "[0,1]")))
     report = mct_experiment(
@@ -491,6 +495,9 @@ def main(argv=None) -> int:
         return CHECK_FAILED
     except InvalidControlError as e:
         print(f"invalid control: {e}", file=sys.stderr)
+        return CHECK_FAILED
+    except RuntimeError as e:
+        print(f"check failed: {e}", file=sys.stderr)
         return CHECK_FAILED
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -22,11 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .intervals import Box, Partition, as_point, as_rational, fsum, point_floats
 
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
+# deepest accepted nesting of brackets and of the expression tree; the parser
+# and the evaluators recurse once per level
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -98,6 +101,16 @@ class Ite(Expr):
     threshold: Fraction
     then: Expr
     other: Expr
+
+
+def _height(e: Expr) -> int:
+    """Levels of the tree, counted without recursion."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        level = [c for node in level for c in vars(node).values()
+                 if isinstance(c, Expr)]
+    return height
 
 
 def _max_var(e: Expr) -> int:
@@ -254,6 +267,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -270,13 +284,21 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        # a tree has no more levels than the text has tokens
+        if len(self.tokens) > MAX_NESTING and _height(e) > MAX_NESTING:
+            raise ParseError(f"expression tree deeper than {MAX_NESTING} levels", 1)
         return e
 
     def expr(self) -> Expr:
+        # brackets, function arguments and ite branches all come through here
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", self.peek()[2])
         e = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             e = Bin(op, e, self.term())
+        self.nesting -= 1
         return e
 
     def term(self) -> Expr:
@@ -355,27 +377,18 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _fmt_num(v: Fraction) -> str:
-    return str(v)
-
-
 def to_text(e: Expr) -> str:
     """Canonical printer; parse(to_text(parse(s))) == parse(s)."""
 
-    def prec(node) -> int:
-        if isinstance(node, Bin):
-            return _PREC[node.op]
-        return 4
-
-    def render(node, parent_prec: int, right_of: str = "") -> str:
+    def render(node, parent_prec: int) -> str:
         if isinstance(node, Num):
             if node.value < 0:
                 # the grammar has no unary minus; canonical form is 0-v
-                s = f"0-{_fmt_num(-node.value)}"
+                s = f"0-{-node.value}"
                 if 1 < parent_prec:
                     s = f"({s})"
                 return s
-            s = _fmt_num(node.value)
+            s = str(node.value)
             # a rational literal's slash would fuse with an enclosing
             # '*', '/' or '^' on reparse
             if node.value.denominator != 1 and parent_prec >= 2:
@@ -388,7 +401,7 @@ def to_text(e: Expr) -> str:
         elif isinstance(node, Ite):
             var = "x" if node.var == 0 else f"x{node.var + 1}"
             s = (
-                f"ite({var}<{_fmt_num(node.threshold)},"
+                f"ite({var}<{node.threshold},"
                 f"{render(node.then, 0)},{render(node.other, 0)})"
             )
         else:
@@ -654,11 +667,6 @@ class IntervalFunction:
         return f"IntervalFunction({self.name})"
 
 
-def ifn_eval(G: IntervalFunction, box: Box) -> float:
-    """Evaluate an interval function on a box (alternating corner sum)."""
-    return G.value(box)
-
-
 class SuperadditiveFn:
     """Positive box function used as an n-dimensional control.
 
@@ -739,8 +747,3 @@ def partition_defect(H, parent: Box, partition) -> float:
         if ok:
             return float(total - exact_parent)
     return fsum([H.value(c) for c in cells]) - H.value(parent)
-
-
-def positivity_report(G: IntervalFunction, boxes: Sequence[Box]) -> list:
-    """Boxes where G < 0; Prop-5.4-style uses require an empty report."""
-    return [b for b in boxes if G.value(b) < 0.0]

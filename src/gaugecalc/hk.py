@@ -48,14 +48,13 @@ from .intervals import (
     Box,
     _diam_lt,
     as_rational,
-    dyadic_cells,
     enumerate_partitions,
     fsum,
     point_floats,
 )
 
 EVAL_BUDGET_DEFAULT = 10_000_000
-MAX_DEPTH_DEFAULT = 50
+MAX_DEPTH = 50  # regular leaves at this depth are not refined further
 CHAIN_DEPTH_CAP = 60
 DP_DEPTH_CAP = 24
 
@@ -87,12 +86,6 @@ class IntegralResult:
             },
             sort_keys=True,
         )
-
-
-@dataclass(frozen=True)
-class CellError:
-    cell: Box
-    cauchy_defect: float
 
 
 def riemann_sum(f, G: IntervalFunction, tagged) -> float:
@@ -255,13 +248,11 @@ def _make_g_eval(G: IntervalFunction, geom: _Geom):
 
 
 class _Tree:
-    def __init__(self, f: PointFunction, G: IntervalFunction, box: Box,
-                 budget, max_depth):
+    def __init__(self, f: PointFunction, G: IntervalFunction, box: Box, budget):
         self.geom = _Geom(box)
         self.f_eval = f.fast_eval
         self.g_eval = _make_g_eval(G, self.geom)
         self.budget = budget
-        self.max_depth = max_depth
         self.tol = 0.0  # set by run()
         self.evals = 0
         self.leaves = {}  # key -> _Leaf
@@ -378,7 +369,7 @@ class _Tree:
             if ring is not None:
                 self.ring_values[ring] = self.ring_values.get(ring, 0.0) + value
                 self.ring_defects[ring] = self.ring_defects.get(ring, 0.0) + defect
-            if key[0] < self.max_depth and defect > 0.0:
+            if key[0] < MAX_DEPTH and defect > 0.0:
                 heapq.heappush(self.heap, (-defect, key))
         return leaf
 
@@ -621,13 +612,23 @@ class _Tree:
         )
 
 
+def _resolve(f, G, box: Box):
+    """f and G as functions on `box`; neither may have more variables."""
+    f = PointFunction.resolve(f)
+    G = IntervalFunction.resolve(G, box.dim)
+    for name, fn in (("f", f), ("G", getattr(G, "generator", None))):
+        if fn is not None and fn.dim > box.dim:
+            raise ValueError(f"{name} is a function of {fn.dim} variables, "
+                             f"but the box is {box.dim}-D")
+    return f, G
+
+
 def hk_integrate(
     f,
     G,
     box: Box,
     tol: float = 1e-6,
     budget: int = EVAL_BUDGET_DEFAULT,
-    max_depth: int = MAX_DEPTH_DEFAULT,
 ) -> IntegralResult:
     """Adaptive gauge-style integral of f against the interval function G.
 
@@ -637,9 +638,8 @@ def hk_integrate(
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    f = PointFunction.resolve(f)
-    tree = _Tree(f, IntervalFunction.resolve(G, box.dim), box, budget, max_depth)
-    return tree.run(tol)
+    f, G = _resolve(f, G, box)
+    return _Tree(f, G, box, budget).run(tol)
 
 
 def indefinite_hk(
@@ -661,9 +661,8 @@ def indefinite_hk(
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
-    f = PointFunction.resolve(f)
-    G = IntervalFunction.resolve(G, box.dim)
-    tree = _Tree(f, G, box, budget, max(MAX_DEPTH_DEFAULT, depth))
+    f, G = _resolve(f, G, box)
+    tree = _Tree(f, G, box, budget)
     result = tree.run(tol, min_depth=depth)
 
     corrections = {}
@@ -702,29 +701,6 @@ def indefinite_hk(
     )
     table.result = result
     return table
-
-
-def cell_errors(f, G, box: Box, depth: int) -> list:
-    """One-level Cauchy defects |s(Q) - sum s(children)| on a dyadic grid."""
-    f = PointFunction.resolve(f)
-    G = IntervalFunction.resolve(G, box.dim)
-    singular = [p for p in getattr(f, "singular_points", ()) if box.contains(p)]
-
-    def tag(b):
-        for p in singular:
-            if b.contains(p):
-                return p
-        return b.center
-
-    def s1(b):
-        return f(tag(b)) * G.value(b)
-
-    out = []
-    for cell in dyadic_cells(box, depth):
-        parent = s1(cell)
-        kids = fsum([s1(ch) for ch in cell.bisect()])
-        out.append(CellError(cell, abs(parent - kids)))
-    return out
 
 
 def cumulative(table: IntervalFunction, base) -> Callable:

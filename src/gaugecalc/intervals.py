@@ -145,14 +145,12 @@ class Box:
         """The 2^n corners in lexicographic (lo-before-hi per axis) order."""
         return [tuple(c) for c in itertools.product(*self.intervals)]
 
-    def contains(self, point: Point, strict: bool = False) -> bool:
+    def contains(self, point: Point) -> bool:
         point = as_point(point)
         if len(point) != self.dim:
             raise DimensionMismatchError(
                 f"point of dim {len(point)} in box of dim {self.dim}"
             )
-        if strict:
-            return all(lo < c < hi for c, (lo, hi) in zip(point, self.intervals))
         return all(lo <= c <= hi for c, (lo, hi) in zip(point, self.intervals))
 
     def contains_box(self, other: "Box") -> bool:
@@ -490,19 +488,13 @@ def cousin_partition(
     return TaggedPartition(box, items, _trusted=True)
 
 
-def random_fine_partition(
-    box: Box,
-    gauge: Gauge,
-    rng,
-    depth_budget: int = DEPTH_BUDGET_DEFAULT,
-    split_bias: float = 0.35,
-) -> TaggedPartition:
+def random_fine_partition(box: Box, gauge: Gauge, rng) -> TaggedPartition:
     """Randomized dyadic delta-fine partition (tags drawn from candidates).
 
     Used to sample many independent delta-fine partitions: cells are split
-    while no candidate tag is admissible, and occasionally split anyway;
-    the tag is a uniformly chosen admissible candidate.  Deterministic for
-    a given `rng` state.
+    while no candidate tag is admissible, and with probability 0.35 anyway,
+    down to DEPTH_BUDGET_DEFAULT levels; the tag is a uniformly chosen
+    admissible candidate.  Deterministic for a given `rng` state.
     """
     items = []
 
@@ -510,8 +502,8 @@ def random_fine_partition(
         candidates = [
             t for t in (cell.center, *cell.corners()) if _diam_lt(cell, gauge(t))
         ]
-        may_split = depth < depth_budget
-        if candidates and not (may_split and rng.random() < split_bias):
+        may_split = depth < DEPTH_BUDGET_DEFAULT
+        if candidates and not (may_split and rng.random() < 0.35):
             items.append((cell, candidates[rng.randrange(len(candidates))]))
             return
         if not may_split:

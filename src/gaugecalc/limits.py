@@ -22,25 +22,17 @@ class LimitDivergesError(RuntimeError):
         )
 
 
-def one_sided_limit(
-    fn,
-    at: float,
-    side: int,
-    initial_step: float,
-    levels: int = 14,
-) -> float:
+def one_sided_limit(fn, at: float, side: int, initial_step: float) -> float:
     """Estimate lim fn(x) as x -> at from below (side=-1) or above (+1).
 
-    Samples fn(at + side * step / 2^i), applies two Richardson stages
-    (cancelling linear and quadratic error terms), and raises
+    Samples fn(at + side * initial_step / 2^i) for i < 14, applies two
+    Richardson stages (cancelling linear and quadratic error terms), and raises
     LimitDivergesError when the samples run away instead of settling.
     """
     if initial_step <= 0.0:
         raise ValueError("initial_step must be positive")
-    if levels < 4:
-        raise ValueError("need at least 4 levels")
     xs = []
-    for i in range(levels):
+    for i in range(14):
         xs.append(fn(at + side * initial_step * 0.5**i))
     scale = max(1.0, abs(xs[0]))
     diffs = [abs(b - a) for a, b in zip(xs, xs[1:])]
@@ -50,12 +42,3 @@ def one_sided_limit(
     r1 = [2.0 * b - a for a, b in zip(xs, xs[1:])]
     r2 = [(4.0 * b - a) / 3.0 for a, b in zip(r1, r1[1:])]
     return r2[-1]
-
-
-def increment(F, a: float, b: float, initial_step=None) -> float:
-    """[F]_a^b = F(b-) - F(a+), both limits estimated."""
-    if initial_step is None:
-        initial_step = (b - a) / 8.0
-    hi = one_sided_limit(F, b, -1, initial_step)
-    lo = one_sided_limit(F, a, +1, initial_step)
-    return hi - lo

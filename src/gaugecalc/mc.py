@@ -102,25 +102,6 @@ class ControlFunction1D:
     def from_expr(cls, text: str, domain) -> "ControlFunction1D":
         return cls(PointFunction.resolve(text), domain, label=text)
 
-    def check_increasing(self, points: Sequence[float]):
-        """First violating pair on consecutive sorted points, or None."""
-        pts = sorted(float(p) for p in points)
-        for a, b in zip(pts, pts[1:]):
-            if a < b and not self(a) < self(b):
-                return (a, b)
-        return None
-
-    def serialize(self, sample_points: Optional[Sequence[float]] = None) -> dict:
-        """Expression-text metadata, optionally with a sample table."""
-        data = {
-            "label": self.label,
-            "domain": list(self.domain),
-            "jumps": [list(j) for j in self.jumps],
-        }
-        if sample_points is not None:
-            data["samples"] = [[float(x), self(x)] for x in sample_points]
-        return data
-
     def __repr__(self):
         return f"ControlFunction1D({self.label} on {self.domain})"
 
@@ -381,7 +362,6 @@ def combine_controls(
     phi: ControlFunction1D,
     psi: ControlFunction1D,
     F=None,
-    check_points: int = 33,
 ) -> ControlFunction1D:
     """Combine controls the way the calculus proofs do.
 
@@ -406,7 +386,7 @@ def combine_controls(
             raise ValueError("compose mode needs the inner function F")
         Ff = as_scalar(F)
         a, b = phi.domain
-        grid = chebyshev_points(a, b, check_points)
+        grid = chebyshev_points(a, b, 33)
         for u, v in zip(grid, grid[1:]):
             if not Ff(u) < Ff(v):
                 raise ValueError(

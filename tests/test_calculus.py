@@ -13,7 +13,6 @@ from gaugecalc.calculus import (
     mct_experiment,
     check_parts,
     suite_to_csv_rows,
-    suite_to_json,
 )
 from gaugecalc.mc import chebyshev_points
 
@@ -192,9 +191,7 @@ def test_suite_serialization():
     rows = suite_to_csv_rows(reports)
     assert rows[0] == ["name", "lhs", "rhs", "residual", "pass"]
     assert len(rows) == 3
-    import json
-
-    data = json.loads(suite_to_json(reports))
+    data = [r.to_json_dict() for r in reports]
     assert data[0]["passed"] is True
     report = IdentityReport("demo", 1.0, 1.5, 0.1)
     assert not report.passed and report.residual == 0.5

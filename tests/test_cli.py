@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gaugecalc
 from gaugecalc.cli import main
 
 
@@ -196,6 +199,14 @@ ONE_LINE_ERRORS = [
     # 2-D cells deeper than 41 levels
     (["integrate", "--f", "(x1^2+x2^2)^(0-19/20)",
       "--box", "[[0,1],[0,1]]", "--tol", "1e-4", "--budget", "200000"], 1),
+    # expressions nested deeper than the parser accepts
+    (["integrate", "--f", "+".join(["x"] * 1200)], 2),
+    (["integrate", "--f", "(" * 400 + "x" + ")" * 400], 2),
+    # variables beyond the box's dimension
+    (["integrate", "--f", "x2"], 2),
+    (["integrate", "--f", "x", "--G", "x2"], 2),
+    (["identity", "additivity", "--f", "ite(x<1/3,0,1)", "--tol", "1e-300"], 1),
+    (["mct", "--K", "0"], 2),
 ]
 
 
@@ -212,6 +223,11 @@ class TestErrors:
         code, out, err = run(["identity", "constancy", "--depth", "0"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("config error: --depth 0: constancy needs depth >= 1")
+
+    def test_mct_K_0_names_the_flag(self, capsys):
+        code, out, err = run(["mct", "--K", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: --K 0:")
 
     def test_unread_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -248,3 +264,17 @@ class TestErrors:
         assert "--K" in out and "--preset" in out
         for flag in ("--f ", "--depth", "--seed", "--g ", "--budget"):
             assert flag not in out
+
+
+def test_cli_imports_only_the_standard_library():
+    # only modules the import newly loads count: site hooks may preload
+    # third-party modules before any gaugecalc code runs
+    src = os.path.dirname(os.path.dirname(gaugecalc.__file__))
+    code = ("import json, sys; before = set(sys.modules); import gaugecalc.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    top = {name.split(".")[0] for name in json.loads(out)}
+    assert "gaugecalc" in top
+    assert top - {"gaugecalc"} <= set(sys.stdlib_module_names)

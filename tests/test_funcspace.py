@@ -12,10 +12,8 @@ from gaugecalc import (
     ParseError,
     PointFunction,
     SuperadditiveFn,
-    ifn_eval,
     parse,
     partition_defect,
-    positivity_report,
     to_text,
 )
 from gaugecalc.funcspace import Bin, Fun, Ite, Num, Var
@@ -177,21 +175,31 @@ class TestEval:
         assert parse("sin(x)").eval_exact((Fraction(0),)) is None
         assert parse("abs(0-x)").eval_exact((Fraction(2, 3),)) == Fraction(2, 3)
 
+    def test_nesting_is_bounded(self):
+        # 100 levels of tree or brackets parse; one more is a ParseError,
+        # not a RecursionError in the parser or an evaluator
+        assert parse("+".join(["x"] * 100)).eval((1,)) == 100.0
+        assert parse("(" * 99 + "x" + ")" * 99).eval((2,)) == 2.0
+        for text in ("+".join(["x"] * 101), "(" * 100 + "x" + ")" * 100,
+                     "+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400):
+            with pytest.raises(ParseError):
+                parse(text)
+
 
 class TestIntervalFunction:
     def test_volume_generator_2d(self):
         G = IntervalFunction.from_generator(PointFunction.from_expr("x1*x2", dim=2))
-        assert ifn_eval(G, Box.unit(2)) == 1.0
+        assert G.value(Box.unit(2)) == 1.0
         assert G.value_exact(Box.of((0, "1/2"), (0, "1/2"))) == Fraction(1, 4)
 
     def test_square_increment(self):
         G = IntervalFunction.from_generator("x^2")
-        assert ifn_eval(G, Box.of((1, 2))) == 3.0
+        assert G.value(Box.of((1, 2))) == 3.0
 
     def test_heaviside_increments(self):
         G = IntervalFunction.heaviside("1/2")
-        assert ifn_eval(G, Box.of(("2/5", "3/5"))) == 1.0
-        assert ifn_eval(G, Box.of(("3/5", "9/10"))) == 0.0
+        assert G.value(Box.of(("2/5", "3/5"))) == 1.0
+        assert G.value(Box.of(("3/5", "9/10"))) == 0.0
 
     def test_table_missing_entry(self):
         T = IntervalFunction.table({Box.unit(): 1.0}, Box.unit(), 0, 1e-12)
@@ -259,9 +267,3 @@ class TestSuperadditiveFn:
         with pytest.raises(ValueError):
             H.value(Box.of((0, "1/2")))
 
-
-def test_positivity_report():
-    G = IntervalFunction.from_generator("0-x")
-    offenders = positivity_report(G, [Box.unit(), Box.of((0, "1/2"))])
-    assert len(offenders) == 2
-    assert positivity_report(IntervalFunction.length(), [Box.unit()]) == []

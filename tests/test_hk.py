@@ -10,7 +10,6 @@ from gaugecalc import (
     IntervalFunction,
     PointFunction,
     TaggedPartition,
-    cell_errors,
     cumulative,
     delta_variation_bruteforce,
     delta_variation_dp,
@@ -166,6 +165,14 @@ class TestHkIntegrate:
         with pytest.raises(ValueError):
             hk_integrate("x", LENGTH, Box.unit(), tol=0.0)
 
+    def test_rejects_variables_beyond_the_box(self):
+        with pytest.raises(ValueError, match="2 variables"):
+            hk_integrate("x2", None, Box.unit())
+        with pytest.raises(ValueError, match="2 variables"):
+            indefinite_hk("x", "x2", Box.unit(), depth=2)
+        # fewer variables than the box has are fine
+        assert hk_integrate("x1", None, Box.unit(2)).value == pytest.approx(0.5)
+
     def test_inherited_singular_status_matches_exact_test(self):
         # 1/4 and 1/3 share cells down to depth 3; 1/3 is not dyadic, so a
         # float test can misplace it in cells deeper than about 53 levels
@@ -176,7 +183,7 @@ class TestHkIntegrate:
             return 0.0 if 0.0 in gaps else sum(g**-0.5 for g in gaps)
 
         f = PointFunction.from_callable(peaks, "peaks", singular_points=anchors)
-        tree = hk._Tree(f, LENGTH, Box.unit(), 20_000, 50)
+        tree = hk._Tree(f, LENGTH, Box.unit(), 20_000)
         seen = []
         probe = tree._probe
 
@@ -300,19 +307,6 @@ class TestIndefinite:
         assert rows[0] == ["depth", "lo1", "hi1", "value"]
         assert rows[1] == ["0", "0", "1", "1.0"]
         assert rows[2][:3] == ["1", "0", "1/2"]
-
-
-class TestCellErrors:
-    def test_linear_has_zero_defect(self):
-        errs = cell_errors("2*x", LENGTH, Box.unit(), 2)
-        assert all(e.cauchy_defect == 0.0 for e in errs)
-
-    def test_defects_nonnegative_and_largest_near_kink(self):
-        errs = cell_errors("abs(x-1/3)", LENGTH, Box.unit(), 3)
-        assert all(e.cauchy_defect >= 0.0 for e in errs)
-        worst = max(errs, key=lambda e: e.cauchy_defect)
-        lo, hi = worst.cell.intervals[0]
-        assert lo <= Fraction(1, 3) <= hi
 
 
 INF_GAUGE = Gauge.constant(math.inf)
