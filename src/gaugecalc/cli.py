@@ -412,14 +412,21 @@ _CHOICES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line errors; subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaugecalc",
+    parser = _Parser(
+        prog="gaugecalc", allow_abbrev=False,
         description="gauge-integration and controlled-derivative toolkit",
     )
     sub = parser.add_subparsers(dest="command")
     for name, (_run, keys) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config; flags override it")
         for key in keys + _COMMON:
             flag = key if key == "kind" else "--" + key.replace("_", "-")
@@ -441,7 +448,7 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _validate(cfg: dict):
+def _validate(cfg: dict, command: str):
     """Check cfg in place; a config value takes the type of its flag."""
     for key, kind in _FLAG_TYPES.items():
         if key not in cfg:
@@ -461,8 +468,8 @@ def _validate(cfg: dict):
             try:
                 if key == "G":
                     IntervalFunction.resolve(cfg[key], 1)
-                else:
-                    PointFunction.resolve(cfg[key])
+                elif PointFunction.resolve(cfg[key]).dim > 1 and command == "verify-mc":
+                    raise ValueError("verify-mc takes functions of x1 only")
             except (ParseError, ValueError) as e:
                 raise ConfigError(f"--{key} {cfg[key]!r}: {e}") from e
 
@@ -482,7 +489,7 @@ def main(argv=None) -> int:
             if unread:
                 raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         cfg.update((k, v) for k, v in flags.items() if v is not None)
-        _validate(cfg)
+        _validate(cfg, args.command)
         return COMMANDS[args.command][0](cfg)
     except (ConfigError, ParseError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -28,10 +28,10 @@ leaf down to its grid depth; these forced grid levels count as refinement
 rounds, so a table whose grid already meets tol stops at its grid depth.
 
 Internally the tree works on integer dyadic indices with float geometry
-for speed; exact rational geometry is restored at the API boundary (the
-cells of an indefinite table are exact `Box` objects).  Every sum over
-cells is correctly rounded (`intervals.fsum`), so no sum depends on the
-order in which the cells are listed.
+for speed, and so do the table assembly and the delta-variation DP (one
+`intervals.DyadicGrid` per call); an exact `Box` is built only for a cell
+returned or passed to psi.  Every sum over cells is correctly rounded
+(`intervals.fsum`), so no sum depends on the order of the cells.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import Callable, Optional
 from .funcspace import IntervalFunction, PointFunction
 from .intervals import (
     Box,
+    DyadicGrid,
     _diam_lt,
     as_rational,
     enumerate_partitions,
@@ -671,30 +672,19 @@ def indefinite_hk(
             host = min(chain.leaf_keys)
             corrections[host] = corrections.get(host, 0.0) + chain.correction
 
-    def ancestor(key):
-        d, js = key
-        return tuple(j >> (d - depth) for j in js)
-
     groups = {}
-    for leaf in tree.leaves.values():
-        groups.setdefault(ancestor(leaf.key), []).append(
-            leaf.value + corrections.get(leaf.key, 0.0)
-        )
+    for (d, js), leaf in tree.leaves.items():
+        groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(
+            leaf.value + corrections.get((d, js), 0.0))
 
-    entries = {}
+    # the depth-`depth` cells, then each coarser level in index order
+    grid = DyadicGrid(box, depth)
     level = {js: fsum(vals) for js, vals in groups.items()}
-    for js, val in level.items():
-        entries[tree.geom.to_box((depth, js))] = val
+    entries = {grid.cell(depth, js): v for js, v in level.items()}
     for d in range(depth - 1, -1, -1):
-        parent_level = {}
-        for js in sorted({tuple(j >> 1 for j in k) for k in level}):
-            children = [
-                level[tuple(2 * j + b for j, b in zip(js, bits))]
-                for bits in itertools.product((0, 1), repeat=box.dim)
-            ]
-            parent_level[js] = fsum(children)
-            entries[tree.geom.to_box((d, js))] = parent_level[js]
-        level = parent_level
+        level = {js: fsum([level[c] for c in grid.children(js)])
+                 for js in sorted({tuple(j >> 1 for j in k) for k in level})}
+        entries.update((grid.cell(d, js), v) for js, v in level.items())
 
     table = IntervalFunction.table(
         entries, parent=box, depth=depth, tolerance=tol, name=f"indef({f.name})"
@@ -716,15 +706,13 @@ def cumulative(table: IntervalFunction, base) -> Callable:
         raise ValueError("cumulative is one-dimensional")
     lo, hi = parent.intervals[0]
     n = 2**table.depth
-    width = (hi - lo) / n
-    cells = [Box(((lo + i * width, lo + (i + 1) * width),)) for i in range(n)]
-    prefix = [0.0]
-    for c in cells:
-        prefix.append(prefix[-1] + table.value(c))
+    grid = DyadicGrid(parent, table.depth)
+    prefix = list(itertools.accumulate(
+        (table.value(grid.cell(table.depth, (i,))) for i in range(n)), initial=0.0))
 
     def grid_index(x) -> int:
         x = as_rational(x if not isinstance(x, tuple) else x[0])
-        ratio = (x - lo) / width
+        ratio = (x - lo) / (hi - lo) * n
         if ratio.denominator != 1 or not 0 <= ratio.numerator <= n:
             raise ValueError(f"{float(x)} is not on the depth-{table.depth} grid")
         return ratio.numerator
@@ -793,25 +781,28 @@ def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
+    grid = DyadicGrid(box, depth + 1, gauges)
     tables = [{} for _ in gauges]
-
-    def rec(cell: Box, d: int) -> list:
-        bests = [-math.inf] * len(tables)
-        for t in (cell.center, *cell.corners()):
-            fine = [i for i, g in enumerate(gauges) if _diam_lt(cell, g(t))]
-            if fine:
-                v = abs(psi(cell, t))
-                for i in fine:
-                    bests[i] = max(bests[i], v)
-        if d < depth:
-            subs = [rec(child, d + 1) for child in cell.bisect()]
+    # depth first: tags scored before the children's, values set from theirs in `done`
+    stack, done, m = [(0, (0,) * box.dim, None, None)], [], 2**box.dim
+    while stack:
+        d, js, cell, bests = stack.pop()
+        if cell is None:
+            cell, bests = grid.cell(d, js), [-math.inf] * len(tables)
+            for tag, admits in grid.admitted(d, js):
+                v = abs(psi(cell, tag)) if admits else None
+                bests = [max(b, v) if i in admits else b for i, b in enumerate(bests)]
+            if d < depth:
+                stack.append((d, js, cell, bests))
+                stack += [(d + 1, c, None, None) for c in reversed(grid.children(js))]
+                continue
+        else:
+            subs, done[-m:] = done[-m:], []
             # -inf propagates through the sums
             bests = [max(b, fsum(s)) for b, s in zip(bests, zip(*subs))]
         for table, best in zip(tables, bests):
             table[cell] = best
-        return bests
-
-    rec(box, 0)
+        done.append(bests)
     return tables
 
 

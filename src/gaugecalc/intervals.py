@@ -3,7 +3,9 @@
 Geometry is exact: box endpoints are `fractions.Fraction`, and every
 overlap / cover / fineness decision is exact (a float gauge value is
 compared in floats only where that agrees with rational arithmetic).  Only
-function evaluation elsewhere in the package uses floating point.
+function evaluation elsewhere in the package uses floating point.  A walk
+over the dyadic subcells of one box indexes them by integers through a
+`DyadicGrid`, which builds a `Box` only for a cell it hands out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Point = tuple  # tuple of Fraction coordinates
@@ -113,6 +115,11 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.intervals)
+
+    def __hash__(self):  # cached: tables hash a cell often, Fractions slowly
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.intervals,))
+        return self.__dict__["_hash"]
 
     @cached_property
     def volume(self) -> Fraction:
@@ -454,12 +461,71 @@ class Gauge:
         return g
 
 
-def _admissible_tag(cell: Box, gauge: Gauge) -> Optional[Point]:
-    """First candidate (center, then corners in fixed order) with diam < delta."""
-    for tag in (cell.center, *cell.corners()):
-        if _diam_lt(cell, gauge(tag)):
-            return tag
-    return None
+class DyadicGrid:
+    """The dyadic subcells (d, js), d <= top, of one box by integer index.
+
+    Cell (d, js) is the product over the axes of [lo + j w_d, lo + (j+1) w_d],
+    w_d = (hi - lo) / 2^d.  Each coordinate and candidate tag is built once,
+    and each gauge called once per tag.  All depth-d cells share the volume
+    and squared diameter of the depth's first cell, so `_diam_lt` is decided
+    once per depth and gauge value, and `cell`, the only maker of a `Box`,
+    presets the volume where its cached_property keeps it.
+    """
+
+    def __init__(self, box: Box, top: int, gauges: Sequence = ()):
+        self.top, self.gauges = top, gauges
+        axes = []  # lo + k (hi - lo) / 2^top = p/q + k r/t = (a + k b) / c per axis
+        for lo, hi in box.intervals:
+            (p, q), (r, t) = lo.as_integer_ratio(), ((hi - lo) / 2**top).as_integer_ratio()
+            axes.append((p * t, r * q, q * t))
+        self.coord = cache(lambda i, k: Fraction(axes[i][0] + k * axes[i][1], axes[i][2]))
+        self.points = {}  # index tuple on the depth-top grid -> (tag, deltas)
+        first = self.first = {}  # depth -> the first cell built at that depth
+        self.fine = cache(lambda d, delta: _diam_lt(first[d], delta))
+
+    def cell(self, d: int, js) -> Box:
+        s = self.top - d
+        box = Box(tuple((self.coord(i, j << s), self.coord(i, (j + 1) << s))
+                        for i, j in enumerate(js)))
+        box.__dict__["volume"] = self.first.setdefault(d, box).volume
+        return box
+
+    @staticmethod
+    def children(js) -> list:
+        """Indices of the 2^n children, in `Box.bisect` order."""
+        return [tuple(2 * j + b for j, b in zip(js, bits))
+                for bits in itertools.product((0, 1), repeat=len(js))]
+
+    def admitted(self, d: int, js) -> Iterator:
+        """(tag, indices of the gauges fine there) for each candidate tag of
+        cell (d < top, js), lazily: the center, then `Box.corners` order."""
+        if d not in self.first:
+            self.cell(d, js)
+        s = self.top - d
+        corners = itertools.product(*[(j << s, (j + 1) << s) for j in js])
+        for key in (tuple((2 * j + 1) << (s - 1) for j in js), *corners):
+            if key not in self.points:
+                tag = tuple(self.coord(i, k) for i, k in enumerate(key))
+                self.points[key] = (tag, [g(tag) for g in self.gauges])
+            tag, deltas = self.points[key]
+            yield tag, [i for i, delta in enumerate(deltas) if self.fine(d, delta)]
+
+
+def _fine_partition(box: Box, gauge: Gauge, budget: int, pick) -> TaggedPartition:
+    """Depth-first dyadic walk: pick(depth, admissible tags, lazily) returns
+    a cell's tag, or None to bisect it, which at depth `budget` raises."""
+    grid = DyadicGrid(box, budget + 1, [gauge])
+    items, stack = [], [(0, (0,) * box.dim)]
+    while stack:
+        d, js = stack.pop()
+        tag = pick(d, (t for t, admits in grid.admitted(d, js) if admits))
+        if tag is not None:
+            items.append((grid.cell(d, js), tag))
+        elif d >= budget:
+            raise GaugeBudgetError(grid.cell(d, js), d)
+        else:
+            stack.extend((d + 1, c) for c in reversed(grid.children(js)))
+    return TaggedPartition(box, items, _trusted=True)
 
 
 def cousin_partition(
@@ -472,20 +538,9 @@ def cousin_partition(
     """
     if depth_budget < 1:
         raise ValueError("depth_budget must be >= 1")
-    items = []
-
-    def descend(cell: Box, depth: int):
-        tag = _admissible_tag(cell, gauge)
-        if tag is not None:
-            items.append((cell, tag))
-            return
-        if depth >= depth_budget:
-            raise GaugeBudgetError(cell, depth)
-        for child in cell.bisect():
-            descend(child, depth + 1)
-
-    descend(box, 0)
-    return TaggedPartition(box, items, _trusted=True)
+    # no walk passes the depth where diam < the least float, 2^-1074: all tags are fine
+    budget = min(depth_budget, 1076 + int(box.diameter_sq).bit_length() // 2)
+    return _fine_partition(box, gauge, budget, lambda d, tags: next(tags, None))
 
 
 def random_fine_partition(box: Box, gauge: Gauge, rng) -> TaggedPartition:
@@ -496,26 +551,13 @@ def random_fine_partition(box: Box, gauge: Gauge, rng) -> TaggedPartition:
     down to DEPTH_BUDGET_DEFAULT levels; the tag is a uniformly chosen
     admissible candidate.  Deterministic for a given `rng` state.
     """
-    items = []
 
-    def descend(cell: Box, depth: int):
-        candidates = [
-            t for t in (cell.center, *cell.corners()) if _diam_lt(cell, gauge(t))
-        ]
-        may_split = depth < DEPTH_BUDGET_DEFAULT
-        if candidates and not (may_split and rng.random() < 0.35):
-            items.append((cell, candidates[rng.randrange(len(candidates))]))
-            return
-        if not may_split:
-            if not candidates:
-                raise GaugeBudgetError(cell, depth)
-            items.append((cell, candidates[rng.randrange(len(candidates))]))
-            return
-        for child in cell.bisect():
-            descend(child, depth + 1)
+    def pick(depth, tags):
+        tags = list(tags)
+        if tags and not (depth < DEPTH_BUDGET_DEFAULT and rng.random() < 0.35):
+            return tags[rng.randrange(len(tags))]
 
-    descend(box, 0)
-    return TaggedPartition(box, items, _trusted=True)
+    return _fine_partition(box, gauge, DEPTH_BUDGET_DEFAULT, pick)
 
 
 def enumerate_partitions(box: Box, grid: Sequence) -> Iterator[Partition]:

@@ -207,6 +207,9 @@ ONE_LINE_ERRORS = [
     (["integrate", "--f", "x", "--G", "x2"], 2),
     (["identity", "additivity", "--f", "ite(x<1/3,0,1)", "--tol", "1e-300"], 1),
     (["mct", "--K", "0"], 2),
+    # verify-mc is one-dimensional
+    (["verify-mc", "--F", "x2", "--f", "1"], 2),
+    (["verify-mc", "--F", "x", "--f", "1", "--phi", "x2"], 2),
 ]
 
 
@@ -234,6 +237,24 @@ class TestErrors:
             main(["integrate", "--f", "x", "--depth", "5", "--phi", "x"])
         assert exc.value.code == 2
         assert "--depth 5 --phi x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mct", "--f", "json"],
+        ["integrate", "--bud", "10", "--form", "json", "--f", "x"],
+        ["integrate", "--f"],
+    ])
+    def test_flags_are_not_abbreviated_and_errors_are_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_verify_mc_names_the_flag_of_a_second_variable(self, capsys):
+        code, out, err = run(["verify-mc", "--F", "x", "--f", "1", "--phi", "x2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: --phi 'x2':")
 
     def test_unread_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
