@@ -237,7 +237,7 @@ def run_convert(cfg) -> int:
         psi = residual_cell_fn(f, G, table)
         gauges = [Gauge.constant(2.0**-k) for k in range(1, K + 1)]
         try:
-            phi = control_from_gauges(psi, gauges, box, depth, K=K)
+            phi = control_from_gauges(psi, gauges, box, depth)
         except CertificationError as e:
             print(f"certification failed: {e}", file=sys.stderr)
             return CHECK_FAILED

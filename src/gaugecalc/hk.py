@@ -27,11 +27,13 @@ global sums are both below tol/2.  An indefinite table first refines every
 leaf down to its grid depth; these forced grid levels count as refinement
 rounds, so a table whose grid already meets tol stops at its grid depth.
 
-Internally the tree works on integer dyadic indices with float geometry
-for speed, and so do the table assembly and the delta-variation DP (one
-`intervals.DyadicGrid` per call); an exact `Box` is built only for a cell
-returned or passed to psi.  Every sum over cells is correctly rounded
-(`intervals.fsum`), so no sum depends on the order of the cells.
+The tree, the table assembly and the delta-variation DP key their cells
+(depth, integer indices) on an `intervals.DyadicGrid`, the one index of
+dyadic cells: the tree takes float bounds, centers and volumes from it,
+an indefinite table is built on its tree's grid, and an exact `Box` is
+built only for a cell returned, passed to psi or G, or named in an error.
+Every sum over cells is correctly rounded (`intervals.fsum`), so no sum
+depends on the order of the cells.
 """
 
 from __future__ import annotations
@@ -104,75 +106,11 @@ def riemann_sum(f, G: IntervalFunction, tagged) -> float:
 # ---------------------------------------------------------------------------
 # Adaptive integrator
 
-# Cells are keyed (depth, (j1..jn)): the dyadic cell [j 2^-d, (j+1) 2^-d]
-# per axis in box coordinates.  Geometry is float inside the engine.
+# Cells are keyed (depth, (j1..jn)) on an `intervals.DyadicGrid`, and their
+# geometry is float inside the engine.
 
 ALIAS_GUARD = 0.005  # weight of the raw composite-pair defect (alias tripwire)
 EDGE_GUARD = 0.005  # weight of the trapezoid-vs-midpoint gap (edge tripwire)
-
-
-class _Geom:
-    """Float geometry of the dyadic tree over a box, plus exact anchors."""
-
-    def __init__(self, box: Box):
-        self.box = box
-        self.dim = box.dim
-        self.lo = [float(lo) for lo, _ in box.intervals]
-        self.width = [float(hi - lo) for lo, hi in box.intervals]
-        self.vol0 = 1.0
-        for w in self.width:
-            self.vol0 *= w
-
-    def bounds(self, key):
-        d, js = key
-        scale = math.ldexp(1.0, -d)
-        return [
-            (self.lo[i] + js[i] * self.width[i] * scale,
-             self.lo[i] + (js[i] + 1) * self.width[i] * scale)
-            for i in range(self.dim)
-        ]
-
-    def center(self, key):
-        d, js = key
-        scale = math.ldexp(1.0, -d - 1)
-        if self.dim == 1:
-            return (self.lo[0] + (2 * js[0] + 1) * self.width[0] * scale,)
-        return tuple(
-            self.lo[i] + (2 * js[i] + 1) * self.width[i] * scale
-            for i in range(self.dim)
-        )
-
-    def volume(self, key):
-        return math.ldexp(self.vol0, -key[0] * self.dim)
-
-    def children(self, key):
-        d, js = key
-        if self.dim == 1:
-            j2 = 2 * js[0]
-            return ((d + 1, (j2,)), (d + 1, (j2 + 1,)))
-        out = []
-        for bits in itertools.product((0, 1), repeat=self.dim):
-            out.append((d + 1, tuple(2 * j + b for j, b in zip(js, bits))))
-        return out
-
-    def corners(self, key):
-        return list(itertools.product(*self.bounds(key)))
-
-    def corner_signs(self):
-        # sign (-1)^(#lo coords); corners() yields product in (lo,hi) order
-        signs = []
-        for bits in itertools.product((0, 1), repeat=self.dim):
-            lows = bits.count(0)
-            signs.append(-1.0 if lows % 2 else 1.0)
-        return signs
-
-    def to_box(self, key) -> Box:
-        d, js = key
-        pairs = []
-        for (lo, hi), j in zip(self.box.intervals, js):
-            w = (hi - lo) / 2**d
-            pairs.append((lo + j * w, lo + (j + 1) * w))
-        return Box(tuple(pairs))
 
 
 class _SingularAnchor:
@@ -225,32 +163,33 @@ class _Chain:
         self.leaf_keys = set()
 
 
-def _make_g_eval(G: IntervalFunction, geom: _Geom):
+def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
     if G.kind == "corner":
         if getattr(G, "_volume_fast", False):
             return geom.volume
         fast = G.generator.fast_eval
-        signs = geom.corner_signs()
         if geom.dim == 1:
             def g_eval(key):
                 (lo, hi), = geom.bounds(key)
                 return fast((hi,)) - fast((lo,))
             return g_eval
+        # sign (-1)^(#lo coords), in the (lo, hi) product order of the corners
+        signs = [-1.0 if bits.count(0) % 2 else 1.0 for bits in geom.bits]
 
         def g_eval(key):
-            corners = geom.corners(key)
+            corners = itertools.product(*geom.bounds(key))
             return fsum([s * fast(c) for s, c in zip(signs, corners)])
         return g_eval
 
     def g_eval(key):
-        return G.value(geom.to_box(key))
+        return G.value(geom.cell(*key))
 
     return g_eval
 
 
 class _Tree:
     def __init__(self, f: PointFunction, G: IntervalFunction, box: Box, budget):
-        self.geom = _Geom(box)
+        self.geom = DyadicGrid(box, CHAIN_DEPTH_CAP + 3)  # probes: 3 levels below a leaf
         self.f_eval = f.fast_eval
         self.g_eval = _make_g_eval(G, self.geom)
         self.budget = budget
@@ -278,7 +217,7 @@ class _Tree:
         boundary singularity; the raw pair gap keeps such cells refining.
         """
         total = 0.0
-        corners = self.geom.corners(key)
+        corners = list(itertools.product(*self.geom.bounds(key)))
         for corner in corners:
             self.evals += 1
             try:
@@ -309,7 +248,7 @@ class _Tree:
         try:
             fv = self.f_eval(tag)
         except (ValueError, ArithmeticError) as e:
-            raise TagEvalError(tag, self.geom.to_box(key), e) from e
+            raise TagEvalError(tag, self.geom.cell(*key), e) from e
         return singular, fv * self.g_eval(key)
 
     # -- leaf management
@@ -658,10 +597,16 @@ def indefinite_hk(
     inherited from the adaptive run.  The levels of the forced grid count
     as refinement rounds: the first convergence check compares the sums
     over the depth-(depth-1) and depth-`depth` grids, so a table whose grid
-    already meets tol stops at its grid depth.
+    already meets tol stops at its grid depth.  The forced grid probes
+    every cell down to depth + 3 once; a budget below that count raises
+    ValueError before any evaluation.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
+    grid_probes = sum(2 ** (box.dim * k) for k in range(depth + 4))
+    if grid_probes > budget:
+        raise ValueError(f"depth {depth} takes {grid_probes} evaluations on its "
+                         f"forced grid, over the budget of {budget}")
     f, G = _resolve(f, G, box)
     tree = _Tree(f, G, box, budget)
     result = tree.run(tol, min_depth=depth)
@@ -678,11 +623,11 @@ def indefinite_hk(
             leaf.value + corrections.get((d, js), 0.0))
 
     # the depth-`depth` cells, then each coarser level in index order
-    grid = DyadicGrid(box, depth)
+    grid = tree.geom
     level = {js: fsum(vals) for js, vals in groups.items()}
     entries = {grid.cell(depth, js): v for js, v in level.items()}
     for d in range(depth - 1, -1, -1):
-        level = {js: fsum([level[c] for c in grid.children(js)])
+        level = {js: fsum([level[c] for _, c in grid.children((d, js))])
                  for js in sorted({tuple(j >> 1 for j in k) for k in level})}
         entries.update((grid.cell(d, js), v) for js, v in level.items())
 
@@ -794,7 +739,7 @@ def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
                 bests = [max(b, v) if i in admits else b for i, b in enumerate(bests)]
             if d < depth:
                 stack.append((d, js, cell, bests))
-                stack += [(d + 1, c, None, None) for c in reversed(grid.children(js))]
+                stack += [(*key, None, None) for key in reversed(grid.children((d, js)))]
                 continue
         else:
             subs, done[-m:] = done[-m:], []

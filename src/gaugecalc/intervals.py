@@ -3,9 +3,12 @@
 Geometry is exact: box endpoints are `fractions.Fraction`, and every
 overlap / cover / fineness decision is exact (a float gauge value is
 compared in floats only where that agrees with rational arithmetic).  Only
-function evaluation elsewhere in the package uses floating point.  A walk
-over the dyadic subcells of one box indexes them by integers through a
-`DyadicGrid`, which builds a `Box` only for a cell it hands out.
+function evaluation elsewhere in the package uses floating point.
+`DyadicGrid` is the one index of the dyadic subcells of a box: every walk
+over them (the integrator's tree, indefinite tables, the delta-variation
+DP, the partition builders and the MC verifiers' tested family) keys a
+cell by its depth and integer indices, and the grid builds a `Box` only
+for a cell it hands out.
 """
 
 from __future__ import annotations
@@ -193,11 +196,6 @@ class Box:
             mid = (lo + hi) / 2
             halves.append(((lo, mid), (mid, hi)))
         return tuple(Box(tuple(choice)) for choice in itertools.product(*halves))
-
-    def translate(self, offsets: Sequence[Fraction]) -> "Box":
-        return Box(
-            tuple((lo + d, hi + d) for (lo, hi), d in zip(self.intervals, offsets))
-        )
 
     def _check_dim(self, other: "Box"):
         if other.dim != self.dim:
@@ -462,39 +460,93 @@ class Gauge:
 
 
 class DyadicGrid:
-    """The dyadic subcells (d, js), d <= top, of one box by integer index.
+    """The one index of the dyadic subcells of a box: cell (d, js), d <= top.
 
     Cell (d, js) is the product over the axes of [lo + j w_d, lo + (j+1) w_d],
-    w_d = (hi - lo) / 2^d.  Each coordinate and candidate tag is built once,
-    and each gauge called once per tag.  All depth-d cells share the volume
-    and squared diameter of the depth's first cell, so `_diam_lt` is decided
-    once per depth and gauge value, and `cell`, the only maker of a `Box`,
-    presets the volume where its cached_property keeps it.
+    w_d = (hi - lo) / 2^d.  Every dyadic walk keys its cells by (d, js) and
+    asks the grid for their geometry: float bounds, center and volume for
+    the integrator's probes, exact coordinates for a `Box`.  Each coordinate
+    and candidate tag is built once, and each gauge called once per tag.
+    All depth-d cells share the volume and squared diameter of the depth's
+    first cell, so `_diam_lt` is decided once per depth and gauge value, and
+    `cell` presets the volume where its cached_property keeps it.
     """
 
     def __init__(self, box: Box, top: int, gauges: Sequence = ()):
-        self.top, self.gauges = top, gauges
-        axes = []  # lo + k (hi - lo) / 2^top = p/q + k r/t = (a + k b) / c per axis
-        for lo, hi in box.intervals:
-            (p, q), (r, t) = lo.as_integer_ratio(), ((hi - lo) / 2**top).as_integer_ratio()
-            axes.append((p * t, r * q, q * t))
-        self.coord = cache(lambda i, k: Fraction(axes[i][0] + k * axes[i][1], axes[i][2]))
+        self.box, self.dim, self.top, self.gauges = box, box.dim, top, gauges
+        self.lo = [float(lo) for lo, _ in box.intervals]
+        self.width = [float(hi - lo) for lo, hi in box.intervals]
+        self.vol0 = math.prod(self.width)
         self.points = {}  # index tuple on the depth-top grid -> (tag, deltas)
         first = self.first = {}  # depth -> the first cell built at that depth
         self.fine = cache(lambda d, delta: _diam_lt(first[d], delta))
+        self.bits = list(itertools.product((0, 1), repeat=self.dim))
+
+    @cached_property
+    def coord(self) -> Callable:
+        """coord(i, k) = lo + k (hi - lo) / 2^top on axis i, built once; made
+        on first use, as the integrator's grid rarely needs exact geometry."""
+        axes = []  # p/q + k r/t = (a + k b) / c per axis
+        for lo, hi in self.box.intervals:
+            (p, q), (r, t) = lo.as_integer_ratio(), ((hi - lo) / 2**self.top).as_integer_ratio()
+            axes.append((p * t, r * q, q * t))
+        return cache(lambda i, k: Fraction(axes[i][0] + k * axes[i][1], axes[i][2]))
+
+    def bounds(self, key) -> list:
+        d, js = key
+        scale = math.ldexp(1.0, -d)
+        return [
+            (self.lo[i] + js[i] * self.width[i] * scale,
+             self.lo[i] + (js[i] + 1) * self.width[i] * scale)
+            for i in range(self.dim)
+        ]
+
+    def center(self, key) -> tuple:
+        d, js = key
+        scale = math.ldexp(1.0, -d - 1)
+        if self.dim == 1:
+            return (self.lo[0] + (2 * js[0] + 1) * self.width[0] * scale,)
+        return tuple(
+            self.lo[i] + (2 * js[i] + 1) * self.width[i] * scale
+            for i in range(self.dim)
+        )
+
+    def volume(self, key) -> float:
+        return math.ldexp(self.vol0, -key[0] * self.dim)
+
+    def span_box(self, d: int, spans) -> Box:
+        """The box of per-axis index spans [a, b] on the depth-d grid."""
+        s = self.top - d
+        return Box(tuple((self.coord(i, a << s), self.coord(i, b << s))
+                         for i, (a, b) in enumerate(spans)))
 
     def cell(self, d: int, js) -> Box:
-        s = self.top - d
-        box = Box(tuple((self.coord(i, j << s), self.coord(i, (j + 1) << s))
-                        for i, j in enumerate(js)))
+        box = self.span_box(d, [(j, j + 1) for j in js])
         box.__dict__["volume"] = self.first.setdefault(d, box).volume
         return box
 
-    @staticmethod
-    def children(js) -> list:
-        """Indices of the 2^n children, in `Box.bisect` order."""
-        return [tuple(2 * j + b for j, b in zip(js, bits))
-                for bits in itertools.product((0, 1), repeat=len(js))]
+    def units(self, point, d: int) -> list:
+        """`point`'s coordinates in depth-d cell widths from the low corner."""
+        if not self.box.contains(point):
+            raise ValueError(f"point {point_floats(point)} outside {self.box}")
+        return [(c - lo) * 2**d / (hi - lo)
+                for c, (lo, hi) in zip(point, self.box.intervals)]
+
+    def containing(self, point, d: int) -> tuple:
+        """Indices of the depth-d cell holding `point`: on an interior cut
+        the cell on the high side, on the box's top edge the last cell."""
+        return tuple(min(math.floor(u), 2**d - 1) for u in self.units(point, d))
+
+    def children(self, key) -> Sequence:
+        """Keys of the 2^n children of cell `key`, in `Box.bisect` order."""
+        d, js = key
+        if self.dim == 1:  # the tree's hot path
+            j2 = 2 * js[0]
+            return ((d + 1, (j2,)), (d + 1, (j2 + 1,)))
+        out = []  # a loop: a comprehension would make d and js closure cells
+        for bits in self.bits:
+            out.append((d + 1, tuple(2 * j + b for j, b in zip(js, bits))))
+        return out
 
     def admitted(self, d: int, js) -> Iterator:
         """(tag, indices of the gauges fine there) for each candidate tag of
@@ -524,7 +576,7 @@ def _fine_partition(box: Box, gauge: Gauge, budget: int, pick) -> TaggedPartitio
         elif d >= budget:
             raise GaugeBudgetError(grid.cell(d, js), d)
         else:
-            stack.extend((d + 1, c) for c in reversed(grid.children(js)))
+            stack.extend(reversed(grid.children((d, js))))
     return TaggedPartition(box, items, _trusted=True)
 
 
@@ -547,14 +599,17 @@ def random_fine_partition(box: Box, gauge: Gauge, rng) -> TaggedPartition:
     """Randomized dyadic delta-fine partition (tags drawn from candidates).
 
     Used to sample many independent delta-fine partitions: cells are split
-    while no candidate tag is admissible, and with probability 0.35 anyway,
-    down to DEPTH_BUDGET_DEFAULT levels; the tag is a uniformly chosen
-    admissible candidate.  Deterministic for a given `rng` state.
+    while no candidate tag is admissible, and with probability 0.7 / 2^n
+    anyway (0.35 in 1-D), down to DEPTH_BUDGET_DEFAULT levels; the tag is a
+    uniformly chosen admissible candidate.  A split makes 2^n cells, so a
+    cell has 0.7 children on average and the walk ends after a few levels
+    in any dimension.  Deterministic for a given `rng` state.
     """
+    split = 0.7 / 2**box.dim
 
     def pick(depth, tags):
         tags = list(tags)
-        if tags and not (depth < DEPTH_BUDGET_DEFAULT and rng.random() < 0.35):
+        if tags and not (depth < DEPTH_BUDGET_DEFAULT and rng.random() < split):
             return tags[rng.randrange(len(tags))]
 
     return _fine_partition(box, gauge, DEPTH_BUDGET_DEFAULT, pick)
@@ -591,21 +646,3 @@ def dyadic_cells(box: Box, depth: int) -> Iterator[Box]:
         return
     for child in box.bisect():
         yield from dyadic_cells(child, depth - 1)
-
-
-def dyadic_cell_containing(box: Box, point: Point, depth: int) -> Box:
-    """The depth-level dyadic subcell of `box` containing `point`.
-
-    Points on an interior cut are resolved to the cell on the high side,
-    except at the top edge of the box.
-    """
-    point = as_point(point)
-    if not box.contains(point):
-        raise ValueError(f"point {point_floats(point)} outside {box}")
-    pairs = []
-    for c, (lo, hi) in zip(point, box.intervals):
-        width = (hi - lo) / 2**depth
-        idx = (c - lo) // width
-        idx = min(int(idx), 2**depth - 1)
-        pairs.append((lo + idx * width, lo + (idx + 1) * width))
-    return Box(tuple(pairs))

@@ -18,23 +18,24 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._par import parallel_map
 from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn, as_scalar
 from .hk import delta_variation_dp_tables
 from .intervals import (
     Box,
+    DyadicGrid,
     Gauge,
     as_point,
     as_rational,
-    dyadic_cell_containing,
     fsum,
 )
 from .limits import LimitDivergesError, one_sided_limit
 
 DEFAULT_H_LEVELS = tuple(2.0**-j for j in range(3, 17))
 DEFAULT_PROBES = 32
+MCT_SERIES_TERMS = 20  # terms kept by mct_control's series control
 
 
 class InvalidControlError(ValueError):
@@ -262,36 +263,31 @@ def verify_mc(
     return _verdict(tol, levels, pts, parallel_map(at, pts))
 
 
-def _tested_boxes(box: Box, x, level: int, allow_translates: bool) -> list:
-    cell = dyadic_cell_containing(box, x, level)
-    boxes = [cell]
-    if allow_translates and level >= 1:
-        halves = [(hi - lo) / 2 for lo, hi in cell.intervals]
-        for deltas in itertools.product((-1, 0, 1), repeat=box.dim):
-            if all(d == 0 for d in deltas):
-                continue
-            shifted = cell.translate(
-                [d * h for d, h in zip(deltas, halves)]
-            )
-            clipped = shifted.intersect(box)
-            if clipped is not None and clipped.contains(x):
-                boxes.append(clipped)
-    return boxes
-
-
-def _residuals(F, G, Phi, box: Box):
+def _residuals(F, G, Phi, box: Box, deepest: int):
     """residuals(x, fx, k) yields (Q, |F(Q) - fx G(Q)|, Phi(Q)), fx = f(x).
 
-    The tested boxes Q are the depth-k dyadic cell containing x plus,
-    when every operand can be evaluated off the dyadic grid (no table
-    kind), its half-cell translates clipped to the domain.
+    The tested boxes Q are the depth-k dyadic cell containing x (on an
+    interior cut the cell on the high side) plus, for k >= 1 and when
+    every operand can be evaluated off the dyadic grid (no table kind),
+    its half-cell translates that contain x, clipped to the box: index
+    spans on the depth-(k+1) grid.
     """
     translates = all(
         getattr(o, "kind", "corner") != "table" for o in (F, G, Phi)
     )
+    grid = DyadicGrid(box, deepest + 1)
 
-    def residuals(x, fx, level):
-        for Q in _tested_boxes(box, x, level, translates):
+    def residuals(x, fx, k):
+        js = grid.containing(x, k)
+        boxes = [grid.cell(k, js)]
+        if translates and k >= 1:
+            n, us = 2 ** (k + 1), grid.units(x, k + 1)
+            for shifts in itertools.product((-1, 0, 1), repeat=box.dim):
+                spans = [(max(2 * j + s, 0), min(2 * j + 2 + s, n))
+                         for j, s in zip(js, shifts)]
+                if any(shifts) and all(a <= u <= b for (a, b), u in zip(spans, us)):
+                    boxes.append(grid.span_box(k + 1, spans))
+        for Q in boxes:
             yield Q, abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q)
 
     return residuals
@@ -316,7 +312,7 @@ def verify_mc_nd(
     levels = list(depth_levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("depth_levels must be a nonempty increasing sequence")
-    residuals = _residuals(F, G, Phi, box)
+    residuals = _residuals(F, G, Phi, box, levels[-1])
 
     def at(point):
         fx = f(point)
@@ -449,25 +445,20 @@ def glue_controls(F1, phi1: ControlFunction1D, F2, phi2: ControlFunction1D):
     return F, control
 
 
-def bounded_control(
-    phis: Sequence,
-    windows: Sequence,
-    K: Optional[int] = None,
-) -> ControlFunction1D:
+def bounded_control(phis: Sequence, windows: Sequence) -> ControlFunction1D:
     """Bounded series control sum 2^-k psi_k on expanding windows.
 
     phis[k] must be strictly increasing on a neighborhood of windows[k] =
     (a_k, b_k); it is rescaled into (0,1) there and clamped to 0 left of
     a_k and 1 right of b_k.  The result is bounded in (0,1) and strictly
-    increasing on the union of the windows; the dropped tail is below
-    2^-K and reported as `.tail_bound`.
+    increasing on the union of the windows.  The series has
+    K = min(len(phis), len(windows)) terms; the dropped tail is below 2^-K
+    and reported as `.tail_bound`.
     """
     windows = [
         (float(as_rational(a)), float(as_rational(b))) for a, b in windows
     ]
-    if K is None:
-        K = len(windows)
-    K = min(K, len(windows), len(phis))
+    K = min(len(windows), len(phis))
     if K < 1:
         raise ValueError("need at least one window")
     pieces = []
@@ -508,15 +499,15 @@ def mct_control(
     phi_seq: Sequence,
     domain,
     F=None,
-    K: int = 20,
 ) -> ControlFunction1D:
     """Series control for the monotone-convergence limit pair.
 
     Selects a subsequence whose endpoint limits approach the limit
     function's faster than 2^-j, then emits
-    sum 2^-j phi_j + sum j (F - F_j) + id truncated at K terms, with both
-    truncation tails reported.  Refuses (MctDivergenceError) when the
-    endpoint limits diverge, i.e. the finite-limit hypothesis fails.
+    sum 2^-j phi_j + sum j (F - F_j) + id truncated at MCT_SERIES_TERMS
+    terms, with both truncation tails reported.  Refuses
+    (MctDivergenceError) when the endpoint limits diverge, i.e. the
+    finite-limit hypothesis fails.
     """
     a, b = float(domain[0]), float(domain[1])
     n = len(F_seq)
@@ -530,7 +521,6 @@ def mct_control(
     except LimitDivergesError as e:
         raise MctDivergenceError(f"endpoint limit diverges: {e}") from e
     ends = [t - base_k for t, base_k in zip(tops, base)]
-    scale = max(1.0, max(abs(v) for v in ends))
     if any(not math.isfinite(v) or abs(v) > 1e12 for v in ends):
         raise MctDivergenceError(f"endpoint increments blow up: {ends[-6:]}")
     if diverging_column(ends):
@@ -552,7 +542,7 @@ def mct_control(
     selected = []
     j = 1
     k = 0
-    while k < n and len(selected) < K:
+    while k < n and len(selected) < MCT_SERIES_TERMS:
         if ends[k] > limit_end - 0.5**j:
             selected.append(k)
             j += 1
@@ -643,7 +633,7 @@ def gauge_from_control(
         raise ValueError(
             f"table-backed F only reaches depth {F.depth}, requested {depth}"
         )
-    residuals = _residuals(F, G, Phi, box)
+    residuals = _residuals(F, G, Phi, box, depth)
 
     def delta_at(point) -> float:
         fx = f(point)
@@ -684,7 +674,6 @@ def control_from_gauges(
     gauges: Sequence[Gauge],
     box: Box,
     depth: int,
-    K: Optional[int] = None,
 ) -> SuperadditiveFn:
     """Superadditive control |Q| + sum k V_delta_k(Q) from certified gauges.
 
@@ -692,12 +681,10 @@ def control_from_gauges(
     dyadic class (checked via the delta-variation dynamic program); a
     violated or incomputable bound raises CertificationError.
     """
-    if K is None:
-        K = len(gauges)
-    K = min(K, len(gauges))
+    K = len(gauges)
     if K < 1:
         raise ValueError("need at least one gauge")
-    tables = delta_variation_dp_tables(psi, box, gauges[:K], depth)
+    tables = delta_variation_dp_tables(psi, box, gauges, depth)
     for k, table in enumerate(tables, start=1):
         root = table[box]
         if root == -math.inf:

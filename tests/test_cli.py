@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -179,6 +180,28 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# sha256 of stdout, so a change that should move no output byte shows every
+# byte it moves; polynomial integrands only, so no libm function can move one
+OUTPUT_DIGESTS = [
+    (["convert", "--direction", "to-gauge"],
+     "354a03b8681cc04c830afe809b56ad8e6b6945302192b81d5bcd855c8066df63"),
+    (["convert", "--direction", "to-control"],
+     "8df5f51e2deaf312d8b63e77d8ebfe175562254d2d88842202d4d42b33c297a9"),
+    (["indefinite", "--f", "x^2", "--depth", "8"],
+     "a2da854fff08c09c4f5c9de6c9328d3f25fc0e6c0f390a5821e32e8d9704baf8"),
+    (["variation", "--depth", "6", "--delta", "0.3"],
+     "74233f1552efa754be02b5522934ff6730ed7cfc8fa2362baf9b83686aed8dd1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", OUTPUT_DIGESTS,
+                         ids=[" ".join(argv[:3]) for argv, _ in OUTPUT_DIGESTS])
+def test_output_bytes_are_pinned(argv, digest, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # (argv, exit code) of inputs that must end with one stderr line
 ONE_LINE_ERRORS = [
     (["verify-mc", "--box", "[[0,1],[0,1]]"], 2),
@@ -210,6 +233,9 @@ ONE_LINE_ERRORS = [
     # verify-mc is one-dimensional
     (["verify-mc", "--F", "x2", "--f", "1"], 2),
     (["verify-mc", "--F", "x", "--f", "1", "--phi", "x2"], 2),
+    # a forced grid beyond the evaluation budget
+    (["indefinite", "--f", "x", "--depth", "24"], 2),
+    (["indefinite", "--f", "x", "--depth", "14", "--budget", "100"], 2),
 ]
 
 
@@ -250,6 +276,12 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_indefinite_budget_below_the_forced_grid(self, capsys):
+        code, out, err = run(["indefinite", "--f", "x", "--depth", "24"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("config error: depth 24 takes 268435455 evaluations on its "
+                       "forced grid, over the budget of 10000000\n")
 
     def test_verify_mc_names_the_flag_of_a_second_variable(self, capsys):
         code, out, err = run(["verify-mc", "--F", "x", "--f", "1", "--phi", "x2"], capsys)

@@ -1,11 +1,14 @@
-"""The integer-index dyadic walks against the Box recursions they replace.
+"""The integer-index dyadic walks against the Box code they replace.
 
-`delta_variation_dp_tables`, `cousin_partition` and `random_fine_partition`
-walk dyadic cells by integer index (`intervals.DyadicGrid`).  The reference
-recursions below are the `Box.bisect` code they replaced; every table, psi
-call and partition item must come out the same, and in the same order.
+`delta_variation_dp_tables`, `cousin_partition`, `random_fine_partition`
+and the tested family of `verify_mc_nd` and `gauge_from_control` walk
+dyadic cells by integer index (`intervals.DyadicGrid`).  The references
+below are the `Box.bisect` recursions and the `Box` translate-and-clip
+family they replaced; every table, psi call, partition item, profile and
+gauge value must come out the same, and in the same order.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -17,10 +20,14 @@ from gaugecalc import (
     Box,
     Gauge,
     GaugeBudgetError,
+    IntervalFunction,
+    PointFunction,
+    SuperadditiveFn,
     cousin_partition,
     delta_variation_dp_tables,
     random_fine_partition,
 )
+from gaugecalc.mc import NoGaugeError, gauge_from_control, verify_mc_nd
 from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, _diam_lt, fsum
 
 
@@ -71,7 +78,7 @@ def ref_random(box, gauge, rng):
             t for t in (cell.center, *cell.corners()) if _diam_lt(cell, gauge(t))
         ]
         may_split = depth < DEPTH_BUDGET_DEFAULT
-        if candidates and not (may_split and rng.random() < 0.35):
+        if candidates and not (may_split and rng.random() < 0.7 / 2**box.dim):
             items.append((cell, candidates[rng.randrange(len(candidates))]))
             return
         if not may_split:
@@ -181,6 +188,15 @@ def test_2d_cousin_partition_equals_the_recursion(gauge):
     assert cousin_partition(BOX_2D, gauge).items == ref_cousin(BOX_2D, gauge)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_2d_random_partition_equals_the_recursion_and_stays_small(seed):
+    # a split makes 4 cells with probability 0.7/4: 0.7 children per cell
+    gauge = Gauge.constant(0.07)
+    tp = random_fine_partition(BOX_2D, gauge, random.Random(seed))
+    assert tp.items == ref_random(BOX_2D, gauge, random.Random(seed))
+    assert 500 <= len(tp) <= 1000 and tp.is_fine(gauge)
+
+
 def test_budget_error_names_the_same_cell():
     gauge = deep_gauge(Fraction(5, 12))
     with pytest.raises(GaugeBudgetError) as new:
@@ -234,3 +250,120 @@ def test_a_nest_down_to_the_least_float_fits_under_any_budget():
     first = min(cell.intervals[0] for cell, _ in tp.items)
     assert first == (0, Fraction(1, 2**1075))
     assert len(tp) == 1076 and tp.is_fine(gauge)
+
+
+def ref_tested_boxes(box, x, level, translates):
+    """The depth-`level` cell holding x (the high side of a cut, the last
+    cell on the top edge) and, when `translates`, its half-cell translates
+    clipped to the box that still hold x."""
+    pairs = []
+    for c, (lo, hi) in zip(x, box.intervals):
+        width = (hi - lo) / 2**level
+        idx = min(int((c - lo) // width), 2**level - 1)
+        pairs.append((lo + idx * width, lo + (idx + 1) * width))
+    cell = Box(tuple(pairs))
+    boxes = [cell]
+    if translates and level >= 1:
+        for shifts in itertools.product((-1, 0, 1), repeat=box.dim):
+            if any(shifts):
+                shifted = Box(tuple((lo + s * (hi - lo) / 2, hi + s * (hi - lo) / 2)
+                                    for (lo, hi), s in zip(cell.intervals, shifts)))
+                clipped = shifted.intersect(box)
+                if clipped is not None and clipped.contains(x):
+                    boxes.append(clipped)
+    return boxes
+
+
+def ref_residuals(F, f, G, Phi, box, x, level, translates=True):
+    fx = f(x)
+    return [(Q, abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q))
+            for Q in ref_tested_boxes(box, x, level, translates)]
+
+
+def ref_profile(F, f, G, Phi, box, x, levels, translates=True):
+    return tuple(max([0.0] + [num / den for _, num, den in
+                              ref_residuals(F, f, G, Phi, box, x, k, translates)])
+                 for k in levels)
+
+
+def ref_gauge_value(F, f, G, Phi, box, x, eps, depth):
+    worst = math.inf
+    for level in range(depth + 1):
+        for Q, num, den in ref_residuals(F, f, G, Phi, box, x, level):
+            if not num < eps * den:
+                if level == depth:
+                    return f"box {Q}"
+                worst = min(worst, Q.diameter)
+    h = 1.0
+    while h > worst:
+        h *= 0.5
+    return h
+
+
+# corner-generated F, G and Phi evaluate off the dyadic grid, so the
+# verifiers test the translates; the points sit on cuts, corners, edges
+# and off the grid
+FAMILY_CASES = {
+    "1d": (BOX_1D, "x^3/3 - x^2/5", "x^2 - 2*x/5", "x^2",
+           [(Fraction(1, 3),), (Fraction(17, 32),), (Fraction(13, 32),),
+            (Fraction(83, 192),), (Fraction(2, 5),), (Fraction(9, 20),)]),
+    "2d": (BOX_2D, "x1^2*x2/2 + x2^3", "x1 + x2/100", "x1*x2 + x1",
+           [(Fraction(0), Fraction(1, 5)), (Fraction(3, 4), Fraction(1)),
+            (Fraction(3, 8), Fraction(3, 5)), (Fraction(3, 16), Fraction(2, 5)),
+            (Fraction(0), Fraction(7, 10)), (Fraction(3, 4), Fraction(2, 5)),
+            (Fraction(1, 7), Fraction(2, 3))]),
+}
+
+
+def family_case(name):
+    box, F, f, G, points = FAMILY_CASES[name]
+    F = IntervalFunction.from_generator(PointFunction.from_expr(F, dim=box.dim))
+    G = IntervalFunction.from_generator(PointFunction.from_expr(G, dim=box.dim))
+    return box, F, PointFunction.from_expr(f, dim=box.dim), G, points
+
+
+@pytest.mark.parametrize("p", [1, "1/2"])
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_verify_mc_nd_profiles_equal_the_box_family(name, p):
+    box, F, f, G, points = family_case(name)
+    Phi = SuperadditiveFn.volume_power(p)
+    levels = range(1, 8)
+    verdict = verify_mc_nd(F, f, G, Phi, box, points, depth_levels=levels, tol=1e-2)
+    expected = [ref_profile(F, f, G, Phi, box, x, levels) for x in points]
+    assert [record.q for record in verdict.points] == expected
+    # the translates are tested and change the profile
+    assert any(len(ref_tested_boxes(box, x, 3, True)) > 1 for x in points)
+    assert expected != [ref_profile(F, f, G, Phi, box, x, levels, False) for x in points]
+
+
+GAUGE_EPS = [0.5, 0.02, 2e-3]
+
+
+@pytest.mark.parametrize("eps", GAUGE_EPS)
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_gauge_from_control_equals_the_box_family(name, eps):
+    box, F, f, G, points = family_case(name)
+    Phi = SuperadditiveFn.volume_power(1)
+    depth = 6
+    expected = [ref_gauge_value(F, f, G, Phi, box, x, eps, depth) for x in points]
+    failures = [v for v in expected if isinstance(v, str)]
+    if failures:
+        with pytest.raises(NoGaugeError) as err:
+            gauge_from_control(F, f, G, Phi, eps, points, depth, box)
+        assert str(err.value).endswith(failures[0])
+    else:
+        gauge = gauge_from_control(F, f, G, Phi, eps, points, depth, box)
+        assert [gauge.sample_values[tuple(map(float, x))] for x in points] == expected
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_the_gauge_cases_reach_every_outcome(name):
+    # eps = 0.5, 0.02, 2e-3: no box fails, some boxes fail, the finest fails
+    box, F, f, G, points = family_case(name)
+    Phi = SuperadditiveFn.volume_power(1)
+    outcomes = []
+    for eps in GAUGE_EPS:
+        values = [ref_gauge_value(F, f, G, Phi, box, x, eps, 6) for x in points]
+        outcomes.append("fails" if any(isinstance(v, str) for v in values)
+                        else "refined" if min(values) < 1.0 else "coarse")
+    assert outcomes == ["coarse", "refined", "fails"]

@@ -246,6 +246,19 @@ class TestIndefinite:
         with pytest.raises(ValueError):
             indefinite_hk("x", LENGTH, Box.unit(), depth=25)
 
+    def test_budget_below_the_forced_grid_raises_before_evaluating(self):
+        calls = []
+        f = PointFunction.from_callable(lambda x: calls.append(x) or x, "x")
+        # the forced grid probes each cell of depths 0..depth+3 once:
+        # 2^14 - 1 = 16,383 cells at depth 10 in 1-D, 4^18 / 3 in 2-D
+        with pytest.raises(ValueError, match="16383 evaluations"):
+            indefinite_hk(f, LENGTH, Box.unit(), depth=10, budget=16_382)
+        with pytest.raises(ValueError, match="depth 14 takes 22906492245 evaluations"):
+            indefinite_hk("x1", None, Box.unit(2), depth=14, budget=100)
+        assert calls == []
+        table = indefinite_hk(f, LENGTH, Box.unit(), depth=10, budget=16_383)
+        assert len(table.entries) == 2**11 - 1 and calls
+
     def test_cumulative(self):
         table = indefinite_hk("2*x", LENGTH, Box.unit(), depth=4, tol=1e-10)
         F = cumulative(table, 0)

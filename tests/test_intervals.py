@@ -19,8 +19,8 @@ from gaugecalc import (
 )
 from gaugecalc.intervals import (
     DimensionMismatchError,
+    DyadicGrid,
     _diam_lt,
-    dyadic_cell_containing,
     dyadic_cells,
     fsum,
 )
@@ -243,18 +243,39 @@ def test_dyadic_helpers():
     cells = list(dyadic_cells(Box.unit(), 3))
     assert len(cells) == 8
     assert is_partition(Box.unit(), cells)
-    cell = dyadic_cell_containing(Box.unit(), ("1/3",), 3)
+    grid = DyadicGrid(Box.unit(), 3)
+    cell = grid.cell(3, grid.containing((Fraction(1, 3),), 3))
     lo, hi = cell.intervals[0]
     assert lo <= Fraction(1, 3) <= hi
     assert hi - lo == Fraction(1, 8)
+    # a cut goes to the cell on its high side, the top edge to the last cell
+    assert grid.containing((Fraction(1, 4),), 3) == (2,)
+    assert grid.containing((Fraction(1),), 3) == (7,)
+    assert grid.containing((Fraction(0),), 3) == (0,)
+    with pytest.raises(ValueError, match="outside"):
+        grid.containing((Fraction(9, 8),), 3)
+    box = Box.of((0, "3/4"), ("1/5", 1))
+    grid = DyadicGrid(box, 2)
+    assert grid.containing((Fraction(3, 8), Fraction(1)), 2) == (2, 3)
+    assert grid.cell(1, (1, 0)) == Box.of(("3/8", "3/4"), ("1/5", "3/5"))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.fractions(min_value=0, max_value=1), st.integers(min_value=0, max_value=6))
-def test_dyadic_cell_contains_point(point, depth):
-    cell = dyadic_cell_containing(Box.unit(), (point,), depth)
-    assert cell.contains((point,))
-    assert cell.volume == Fraction(1, 2**depth)
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=6))
+def test_dyadic_cell_contains_point(u, v, depth):
+    box = Box.of(("-1/3", "5/7"), (2, "9/4"))
+    (a, b), (c, d) = box.intervals
+    point = (a + u * (b - a), c + v * (d - c))
+    grid = DyadicGrid(box, depth)
+    js = grid.containing(point, depth)
+    cell = grid.cell(depth, js)
+    assert cell.contains(point)
+    assert cell.volume == box.volume / 4**depth
+    # the high side of a cut: the cell's top face holds the point only on
+    # the box's top edge
+    for x, (_, hi), (_, top) in zip(point, cell.intervals, box.intervals):
+        assert x < hi or hi == top
 
 
 @settings(max_examples=400, deadline=None)
