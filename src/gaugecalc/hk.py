@@ -24,8 +24,13 @@ fixed interior-tag rule provably stalls.
 
 A run stops when the summed defects and the change between two successive
 global sums are both below tol/2.  An indefinite table first refines every
-leaf down to its grid depth; these forced grid levels count as refinement
-rounds, so a table whose grid already meets tol stops at its grid depth.
+leaf down to its grid depth, known up front, so it goes a whole level at a
+time: the level's new probes go into one flat float list (centers over an
+index range, one G value per level when G is the volume), with the f
+calls, leaf values and running sums of refining leaf by leaf, in the same
+order.  These forced grid levels count as refinement rounds, so a table
+whose grid already meets tol stops at its grid depth; past it, the
+adaptive phase refines leaf by leaf.
 
 The tree, the table assembly and the delta-variation DP key their cells
 (depth, integer indices) on an `intervals.DyadicGrid`, the one index of
@@ -145,6 +150,7 @@ class _Leaf:
         self.defect = defect
         # cached probes (key, singular, s1) one/two/three levels down,
         # flat in nested child order; reused by the children on refinement
+        # (None above an indefinite table's grid depth, where `force_grid` refines)
         self.l2 = l2
         self.l3 = l3
         self.l4 = l4
@@ -182,7 +188,12 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
         return g_eval
 
     def g_eval(key):
-        return G.value(geom.cell(*key))
+        cell = geom.cell(*key)
+        try:
+            return G.value(cell)
+        except KeyError:
+            raise ValueError(f"G is a table of depth {G.depth}, and the integrator needs "
+                             f"its value on {cell}, a depth-{key[0]} cell") from None
 
     return g_eval
 
@@ -251,6 +262,22 @@ class _Tree:
             raise TagEvalError(tag, self.geom.cell(*key), e) from e
         return singular, fv * self.g_eval(key)
 
+    def _probe_block(self, key, g):
+        """s1 of the regular probes three levels below `key`, in nested
+        order; `g` is their G value when G is the volume, else None."""
+        tags = self.geom.centers(key, 3)
+        self.evals += len(tags)
+        fvals = []
+        try:
+            fvals.extend(map(self.f_eval, tags))  # keeps the values before a failure
+        except (ValueError, ArithmeticError) as e:
+            bad = len(fvals)
+            cell = self.geom.cell(*self.geom.descendants(key, 3)[bad])
+            raise TagEvalError(tags[bad], cell, e) from e
+        if g is not None:
+            return [fv * g for fv in fvals]
+        return [fv * self.g_eval(k) for fv, k in zip(fvals, self.geom.descendants(key, 3))]
+
     # -- leaf management
 
     def make_leaf(self, key, probe=None, l2=None, l3=None, ring=None):
@@ -265,45 +292,50 @@ class _Tree:
         l4 = [(hk,) + self._probe(hk, g[1] is not None)
               for g in l3 for hk in children(g[0])]
         s2 = fsum([c[2] for c in l2])
-        s3 = fsum([g[2] for g in l3])
-        s4 = fsum([h[2] for h in l4])
+        value, defect = self._estimate(key, singular, s1, s2, fsum([g[2] for g in l3]),
+                                       fsum([h[2] for h in l4]))
+        return self.add_leaf(_Leaf(key, singular, s1, s2, value, defect, l2, l3, l4, ring))
+
+    def _estimate(self, key, singular, s1, s2, s3, s4):
+        """(value, defect) of a leaf from its midpoint sums at four scales."""
         if singular is not None:
-            value = s1
-            defect = abs(s1 - s2)
-        else:
-            # one-step Richardson of the composite midpoint sums at three
-            # consecutive scales; the gap between the two finest is the
-            # refinement indicator, cross-checked against the coarser one
-            # (scale-compensated) so an accidental pair agreement cannot
-            # mask an unresolved cell.  Richardson is only trusted where
-            # the raw sums decay like a smooth second-order rule (about
-            # 4x per level); kinks and jumps inside the cell break that
-            # signature and fall back to the raw sample-level gap.
-            m0 = s2 + (s2 - s1) / 3.0
-            m1 = s3 + (s3 - s2) / 3.0
-            m2 = s4 + (s4 - s3) / 3.0
-            value = m2 + (m2 - m1) / 15.0
-            d34 = abs(s3 - s4)
-            d23 = abs(s2 - s3)
-            defect = max(abs(m2 - m1), abs(m2 - m0) / 16.0)
-            smooth = d34 <= 1e-15 * (abs(s4) + 1.0) or (
-                2.5 <= d23 / d34 <= 6.5 if d34 > 0.0 else True
-            )
-            if not smooth:
-                defect = max(defect, d34 / 4.0)
-            defect += ALIAS_GUARD * d34
-            if d34 == 0.0 and d23 == 0.0 and s2 == s1:
-                # midpoint probes never see the cell margins: a feature
-                # hiding between the deepest samples and an edge (a kink
-                # just inside the boundary) leaves every composite equal
-                # and the cell looks exactly flat.  The corner average
-                # breaks that blindness.
-                defect += EDGE_GUARD * self._edge_gap(key, s1, s2)
-        leaf = _Leaf(key, singular, s1, s2, value, defect, l2, l3, l4, ring)
+            return s1, abs(s1 - s2)
+        # one-step Richardson of the composite midpoint sums at three
+        # consecutive scales; the gap between the two finest is the
+        # refinement indicator, cross-checked against the coarser one
+        # (scale-compensated) so an accidental pair agreement cannot
+        # mask an unresolved cell.  Richardson is only trusted where
+        # the raw sums decay like a smooth second-order rule (about
+        # 4x per level); kinks and jumps inside the cell break that
+        # signature and fall back to the raw sample-level gap.
+        m0 = s2 + (s2 - s1) / 3.0
+        m1 = s3 + (s3 - s2) / 3.0
+        m2 = s4 + (s4 - s3) / 3.0
+        value = m2 + (m2 - m1) / 15.0
+        d34 = abs(s3 - s4)
+        d23 = abs(s2 - s3)
+        defect = max(abs(m2 - m1), abs(m2 - m0) / 16.0)
+        smooth = d34 <= 1e-15 * (abs(s4) + 1.0) or (
+            2.5 <= d23 / d34 <= 6.5 if d34 > 0.0 else True
+        )
+        if not smooth:
+            defect = max(defect, d34 / 4.0)
+        defect += ALIAS_GUARD * d34
+        if d34 == 0.0 and d23 == 0.0 and s2 == s1:
+            # midpoint probes never see the cell margins: a feature
+            # hiding between the deepest samples and an edge (a kink
+            # just inside the boundary) leaves every composite equal
+            # and the cell looks exactly flat.  The corner average
+            # breaks that blindness.
+            defect += EDGE_GUARD * self._edge_gap(key, s1, s2)
+        return value, defect
+
+    def add_leaf(self, leaf):
+        key, value, defect, ring = leaf.key, leaf.value, leaf.defect, leaf.ring
         self.leaves[key] = leaf
         self.sum_values += value
-        if singular is not None:
-            self.chains[singular].leaf_keys.add(key)
+        if leaf.singular is not None:
+            self.chains[leaf.singular].leaf_keys.add(key)
         else:
             self.sum_defects += defect
             if ring is not None:
@@ -348,6 +380,74 @@ class _Tree:
                                l2=leaf.l3[i * m:(i + 1) * m],
                                l3=leaf.l4[i * m * m:(i + 1) * m * m],
                                ring=leaf.ring)
+
+    def force_grid(self, root, depth):
+        """Refine every leaf, level by level, from `root` down to `depth`;
+        returns the total before the last level.
+
+        The f calls, leaves, rings and running sums are those of refining
+        each level's leaves in key order, but the probes go into one flat
+        float list per level.  A probe's index there is its cell's position
+        in nested order below the root, so a leaf's probes one, two and
+        three levels down are slices, and the (key, singular, s1) caches
+        that `refine` reads are built at `depth` only.
+        """
+        geom, m = self.geom, 2**self.geom.dim
+        vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
+        sings = [{i: p[1] for i, p in enumerate(ps) if p[1] is not None}
+                 for ps in (root.l2, root.l3, root.l4)]
+        level = [(root, 0)]  # the leaves in key order, with their indices
+        for d in range(depth):
+            if d + 1 == depth:  # the first convergence check's previous total
+                self.update_chains()
+                prev = self.total()[0]
+            (v1, v2, v3), (z1, z2, z3) = vals, sings
+            v4, z4 = [0.0] * (len(v3) * m), {}
+            # one G value per level when G is the volume
+            g = self.g_eval((d + 4, (0,) * geom.dim)) if self.g_eval == geom.volume else None
+            below = []
+            for leaf, o in level:
+                self.drop_leaf(leaf)
+                if leaf.singular is not None:
+                    chain = self.chains[leaf.singular]
+                    ring = (leaf.singular, chain.ring_count)
+                else:
+                    ring = leaf.ring
+                new_ring = False
+                for c, key in enumerate(geom.children(leaf.key), o * m):
+                    singular, s1 = z1.get(c), v1[c]
+                    a, b = c * m**3, (c + 1) * m**3
+                    if singular is None:
+                        v4[a:b] = self._probe_block(key, g)
+                    else:  # anchors are tested below singular probes only
+                        for p, hk in enumerate(geom.descendants(key, 3), a):
+                            s, v4[p] = self._probe(hk, p // m in z3)
+                            if s is not None:
+                                z4[p] = s
+                    s2 = fsum(v2[c * m:(c + 1) * m])
+                    value, defect = self._estimate(
+                        key, singular, s1, s2, fsum(v3[c * m * m:(c + 1) * m * m]),
+                        fsum(v4[a:b]))
+                    new_ring = new_ring or singular is None
+                    crng = None if singular is not None else ring
+                    below.append((key, self.add_leaf(_Leaf(key, singular, s1, s2, value,
+                                                           defect, None, None, None, crng)), c))
+                if leaf.singular is not None and new_ring:
+                    self.ring_values.setdefault(ring, 0.0)
+                    self.ring_defects.setdefault(ring, 0.0)
+                    chain.ring_count += 1
+            vals, sings = [v2, v3, v4], [z2, z3, z4]
+            level = [(leaf, c) for _, leaf, c in sorted(below)]
+        # the probe caches of the grid leaves, as slices of one list per level
+        caches = []
+        for r, v, z in zip((1, 2, 3), vals, sings):
+            probes = list(zip(geom.descendants(root.key, depth + r), itertools.repeat(None), v))
+            for p, s in z.items():
+                probes[p] = (probes[p][0], s, v[p])
+            caches.append((m**r, probes))
+        for leaf, c in level:
+            leaf.l2, leaf.l3, leaf.l4 = [ps[c * n:(c + 1) * n] for n, ps in caches]
+        return prev
 
     # -- chain state
 
@@ -498,22 +598,11 @@ class _Tree:
 
     def run(self, tol, min_depth=0):
         self.tol = tol
-        # initial uniform refinement (indefinite tables force a grid depth);
-        # each forced level is a refinement round, so the first check below
-        # compares the sums over the last two grid levels
-        self.make_leaf((0, (0,) * self.geom.dim))
-        prev = None
-        while True:
-            shallow = sorted(
-                (lf for lf in self.leaves.values() if lf.key[0] < min_depth),
-                key=lambda lf: lf.key,
-            )
-            if not shallow:
-                break
-            self.update_chains()
-            prev = self.total()[0]
-            for leaf in shallow:
-                self.refine(leaf)
+        root = self.make_leaf((0, (0,) * self.geom.dim))
+        # an indefinite table forces a grid depth; each forced level is a
+        # refinement round, so the first check below compares the sums over
+        # the last two grid levels
+        prev = self.force_grid(root, min_depth) if min_depth > 0 else None
         self.update_chains()
 
         delta = math.inf
@@ -771,11 +860,19 @@ def volume_power_cell_fn(coeff: float, p: float) -> Callable:
 
 
 def residual_cell_fn(f, G: IntervalFunction, F: IntervalFunction) -> Callable:
-    """Psi(Q, x) = f(x) G(Q) - F(Q), the Henstock-lemma residual."""
+    """Psi(Q, x) = f(x) G(Q) - F(Q), the Henstock-lemma residual.
+
+    f(x) is computed once per tag: the cells of a dyadic walk share their
+    corner and center tags."""
     f = PointFunction.resolve(f)
+    fx = {}
 
     def psi(box: Box, tag) -> float:
-        return f(tag) * G.value(box) - F.value(box)
+        try:
+            v = fx[tag]
+        except KeyError:
+            v = fx[tag] = f(tag)
+        return v * G.value(box) - F.value(box)
 
     return psi
 

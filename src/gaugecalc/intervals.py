@@ -548,6 +548,28 @@ class DyadicGrid:
             out.append((d + 1, tuple(2 * j + b for j, b in zip(js, bits))))
         return out
 
+    def descendants(self, key, r: int) -> list:
+        """Keys of the depth-(d + r) cells inside cell `key`, in nested
+        (`children` applied r times) order."""
+        d, js = key
+        if self.dim == 1:  # (d + r, (j,)) over the index range
+            j0 = js[0] << r
+            return list(zip(itertools.repeat(d + r), zip(range(j0, j0 + (1 << r)))))
+        keys = [key]
+        for _ in range(r):
+            keys = [c for k in keys for c in self.children(k)]
+        return keys
+
+    def centers(self, key, r: int) -> list:
+        """`center` of each of `descendants(key, r)`; in 1-D its float
+        expression over the index range, with no keys built."""
+        d, js = key
+        if self.dim == 1:
+            lo, w, scale = self.lo[0], self.width[0], math.ldexp(1.0, -d - r - 1)
+            j0 = js[0] << r
+            return [(lo + (2 * j + 1) * w * scale,) for j in range(j0, j0 + (1 << r))]
+        return [self.center(k) for k in self.descendants(key, r)]
+
     def admitted(self, d: int, js) -> Iterator:
         """(tag, indices of the gauges fine there) for each candidate tag of
         cell (d < top, js), lazily: the center, then `Box.corners` order."""

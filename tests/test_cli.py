@@ -191,6 +191,12 @@ OUTPUT_DIGESTS = [
      "a2da854fff08c09c4f5c9de6c9328d3f25fc0e6c0f390a5821e32e8d9704baf8"),
     (["variation", "--depth", "6", "--delta", "0.3"],
      "74233f1552efa754be02b5522934ff6730ed7cfc8fa2362baf9b83686aed8dd1"),
+    # a 2-D forced grid, and a table refined past its grid depth (to depth 8)
+    (["indefinite", "--f", "x1^2*x2+x2/3", "--box", '[["0","3/4"],["1/5","1"]]',
+      "--depth", "3"],
+     "d17a0f63f9ae14ab5fbe6efdae051650ce3e2771fe1a545709d40c766f61842f"),
+    (["indefinite", "--f", "x^3-x/3", "--depth", "3", "--tol", "1e-9"],
+     "69d352ddfa805576f0480647ad7322ecf9235031d5a17186e39c65cea1b234d0"),
 ]
 
 

@@ -1,11 +1,13 @@
-"""The integer-index dyadic walks against the Box code they replace.
+"""The integer-index dyadic walks against the code they replace.
 
 `delta_variation_dp_tables`, `cousin_partition`, `random_fine_partition`
 and the tested family of `verify_mc_nd` and `gauge_from_control` walk
 dyadic cells by integer index (`intervals.DyadicGrid`).  The references
 below are the `Box.bisect` recursions and the `Box` translate-and-clip
 family they replaced; every table, psi call, partition item, profile and
-gauge value must come out the same, and in the same order.
+gauge value must come out the same, and in the same order.  Likewise the
+level-by-level forced grid of `indefinite_hk` (`_Tree.force_grid`) against the
+leaf-by-leaf loop it replaced: the same f calls, leaves, nests and table.
 """
 
 import itertools
@@ -27,8 +29,10 @@ from gaugecalc import (
     delta_variation_dp_tables,
     random_fine_partition,
 )
+from gaugecalc import hk, indefinite_hk
+from gaugecalc.hk import TagEvalError
 from gaugecalc.mc import NoGaugeError, gauge_from_control, verify_mc_nd
-from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, _diam_lt, fsum
+from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, DyadicGrid, _diam_lt, fsum
 
 
 def ref_dp_tables(psi, box, gauges, depth):
@@ -367,3 +371,159 @@ def test_the_gauge_cases_reach_every_outcome(name):
         outcomes.append("fails" if any(isinstance(v, str) for v in values)
                         else "refined" if min(values) < 1.0 else "coarse")
     assert outcomes == ["coarse", "refined", "fails"]
+
+
+# ---------------------------------------------------------------------------
+# the forced grid of `indefinite_hk`, level by level against leaf by leaf
+
+
+class PerLeafTree(hk._Tree):
+    """The forced grid as `_Tree.run` walked it before `_Tree.force_grid`: every
+    leaf above `depth` refined in key order, level after level, through
+    `refine` and `make_leaf`, one probe at a time."""
+
+    def force_grid(self, root, depth):
+        prev = None
+        while True:
+            shallow = sorted((lf for lf in self.leaves.values() if lf.key[0] < depth),
+                             key=lambda lf: lf.key)
+            if not shallow:
+                return prev
+            self.update_chains()
+            prev = self.total()[0]
+            for leaf in shallow:
+                self.refine(leaf)
+
+
+def peak(x):
+    return 0.0 if x == 0.5 else abs(x - 0.5) ** -0.5
+
+
+def peak_2d(p):
+    r2 = (p[0] - 0.375) ** 2 + (p[1] - 0.6) ** 2
+    return 0.0 if r2 == 0.0 else r2 ** -0.25
+
+
+# anchors on interior cuts: two (1-D) and four (2-D) singular cells per level
+ANCHORED = {
+    "peak": lambda: PointFunction.from_callable(
+        peak, "peak", singular_points=(Fraction(1, 2),)),
+    "peak_2d": lambda: PointFunction.from_callable(
+        peak_2d, "peak_2d", dim=2, singular_points=((Fraction(3, 8), Fraction(3, 5)),)),
+}
+
+
+def recorded(source, dim=1):
+    """A point function that logs every tag the tree evaluates it at."""
+    f = ANCHORED[source]() if source in ANCHORED else PointFunction.resolve(source, dim)
+    calls, fast = [], f.fast_eval
+
+    def logged(xs):
+        calls.append(xs)
+        return fast(xs)
+
+    f.fast_eval = logged
+    return f, calls
+
+
+def tree_state(tree, prev):
+    """Everything the adaptive phase reads, with floats as their bits."""
+    def probes(cache):
+        return None if cache is None else [(k, s, v.hex()) for k, s, v in cache]
+
+    leaves = [(lf.key, lf.singular, lf.s1.hex(), lf.s2.hex(), lf.value.hex(),
+               lf.defect.hex(), lf.ring, probes(lf.l2), probes(lf.l3), probes(lf.l4))
+              for lf in tree.leaves.values()]
+    live = sorted((neg, key) for neg, key in tree.heap if key in tree.leaves
+                  and tree.leaves[key].singular is None and -neg == tree.leaves[key].defect)
+    tree.update_chains()
+    chains = [(c.ring_count, c.correction.hex(), c.defect.hex(), sorted(c.leaf_keys))
+              for c in tree.chains]
+    rings = [sorted((k, v.hex()) for k, v in d.items())
+             for d in (tree.ring_values, tree.ring_defects)]
+    return (None if prev is None else prev.hex(), tree.evals, leaves, live, chains, rings,
+            tree.sum_values.hex(), tree.sum_defects.hex())
+
+
+def forced_grid(cls, f, box, depth):
+    tree = cls(f, IntervalFunction.volume(box.dim), box, 10**7)
+    root = tree.make_leaf((0, (0,) * box.dim))
+    return tree_state(tree, tree.force_grid(root, depth) if depth > 0 else None)
+
+
+def table_state(monkeypatch, cls, source, box, depth, tol, dim=1):
+    f, calls = recorded(source, dim)
+    with monkeypatch.context() as m:
+        m.setattr(hk, "_Tree", cls)
+        table = indefinite_hk(f, None, box, depth=depth, tol=tol)
+    entries = sorted((cell.intervals, v.hex()) for cell, v in table.entries.items())
+    return entries, table.result, calls
+
+
+FORCED_CASES = [
+    *[("x^3-x/3", Box.unit(), d, 1e-9) for d in range(7)],
+    ("x1^2*x2+x2/3", BOX_2D, 3, 1e-6),
+    ("inv_sqrt", Box.unit(), 6, 1e-6),
+    ("peak", Box.unit(), 4, 1e-6),
+    ("peak_2d", BOX_2D, 2, 1e-2),
+    # every composite sum of a constant agrees: the edge gap evaluates the corners
+    ("5/4", BOX_1D, 5, 1e-9),
+]
+
+
+@pytest.mark.parametrize("source,box,depth,tol", FORCED_CASES,
+                         ids=[f"{c[0]}-{c[1].dim}d-depth{c[2]}" for c in FORCED_CASES])
+def test_forced_grid_equals_the_per_leaf_loop(source, box, depth, tol, monkeypatch):
+    runs = []
+    for cls in (hk._Tree, PerLeafTree):
+        f, calls = recorded(source, box.dim)
+        runs.append((forced_grid(cls, f, box, depth), calls))
+    assert runs[0] == runs[1]
+    entries, result, calls = table_state(monkeypatch, hk._Tree, source, box, depth, tol,
+                                         box.dim)
+    assert (entries, result, calls) == table_state(monkeypatch, PerLeafTree, source, box,
+                                                   depth, tol, box.dim)
+    assert len(entries) == sum(2**(box.dim * d) for d in range(depth + 1))
+
+
+def test_the_forced_cases_reach_edge_gaps_and_the_adaptive_phase():
+    # the edge gap evaluates both corners of each of the constant's 63
+    # leaves, on top of its 2^9 - 1 grid probes
+    f, calls = recorded("5/4")
+    result = indefinite_hk(f, None, BOX_1D, depth=5, tol=1e-9).result
+    assert result.evaluations == len(calls) == 2**9 - 1 + 2 * 63
+    # a nest, and a cubic at a tight tol, refine past the grid from its caches
+    for source, depth, tol in [("inv_sqrt", 6, 1e-6), ("x^3-x/3", 3, 1e-9)]:
+        result = indefinite_hk(source, None, Box.unit(), depth=depth, tol=tol).result
+        assert result.max_depth > depth
+
+
+def test_a_failing_tag_mid_grid_raises_as_the_per_leaf_loop():
+    bad = (2 * 77 + 1) / 2**9  # a depth-8 center, probed on the way to depth 6
+
+    def spiky(x):
+        if x == bad:
+            raise ValueError("spike")
+        return x * x
+
+    errors = []
+    for cls in (hk._Tree, PerLeafTree):
+        f, calls = recorded(PointFunction.from_callable(spiky, "spiky"))
+        with pytest.raises(TagEvalError) as err:
+            forced_grid(cls, f, Box.unit(), 6)
+        errors.append((str(err.value), err.value.tag, err.value.cell, calls))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == (bad,) and errors[0][2] == Box.of(("77/256", "39/128"))
+    assert errors[0][3][-1] == (bad,) and len(errors[0][3]) > 2**8
+
+
+@pytest.mark.parametrize("box", [BOX_1D, BOX_2D], ids=["1d", "2d"])
+def test_descendants_and_centers_follow_children_and_center(box):
+    grid = DyadicGrid(box, 12)
+    key = (3, (5,) * box.dim)
+    for r in range(4):
+        keys = [key]
+        for _ in range(r):
+            keys = [c for k in keys for c in grid.children(k)]
+        assert grid.descendants(key, r) == keys
+        assert grid.centers(key, r) == [grid.center(k) for k in keys]

@@ -17,6 +17,7 @@ from gaugecalc import (
     delta_variation_dp_tables,
     hk_integrate,
     indefinite_hk,
+    residual_cell_fn,
     riemann_sum,
     volume_power_cell_fn,
 )
@@ -164,6 +165,15 @@ class TestHkIntegrate:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             hk_integrate("x", LENGTH, Box.unit(), tol=0.0)
+
+    def test_table_G_below_its_depth_names_the_depth(self):
+        G = indefinite_hk("x^3", None, Box.unit(), depth=3, tol=1e-8)
+        with pytest.raises(ValueError, match=r"table of depth 3.*\[0,1/16\], a depth-4 cell"):
+            hk_integrate("x^2*sin(3*x)", G, Box.unit(), tol=1e-4)
+        # within the table's depth the table is a G like any other
+        G = indefinite_hk("x^3", None, Box.unit(), depth=6, tol=1e-10)
+        result = hk_integrate("x^2", G, Box.unit(), tol=1e-1)
+        assert result.max_depth <= 3 and result.value == pytest.approx(1 / 6, abs=1e-3)
 
     def test_rejects_variables_beyond_the_box(self):
         with pytest.raises(ValueError, match="2 variables"):
@@ -433,6 +443,22 @@ class TestDeltaVariationDP:
                     for t in (cell.center, *cell.corners())
                     if cell.diameter < gauges[0](t)}
         assert set(calls) == admitted
+
+    def test_residual_psi_evaluates_f_once_per_tag(self):
+        calls = []
+        f = PointFunction.from_callable(lambda x: calls.append(x) or 3 * x * x, "3x^2")
+        table = indefinite_hk("3*x^2", LENGTH, Box.unit(), depth=5, tol=1e-10)
+        gauges = [Gauge.constant(2.0**-k) for k in (1, 3)]
+        tables = delta_variation_dp_tables(residual_cell_fn(f, LENGTH, table),
+                                           Box.unit(), gauges, 5)
+        # the centers and corners of the cells to depth 5: every k/64
+        assert len(calls) == len(set(calls)) == 2**6 + 1
+
+        def direct(cell, tag):
+            return f(tag) * LENGTH.value(cell) - table.value(cell)
+
+        assert tables == delta_variation_dp_tables(direct, Box.unit(), gauges, 5)
+        assert len(calls) > 3 * (2**6 + 1)
 
     def test_works_in_2d(self):
         psi = volume_power_cell_fn(1.0, 2)
