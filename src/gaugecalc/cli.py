@@ -161,12 +161,8 @@ def run_indefinite(cfg) -> int:
         budget=cfg.get("budget", EVAL_BUDGET_DEFAULT),
     )
     rows = table_to_csv_rows(table)
-    _emit(cfg, rows, {
-        "cells": {str(k): v for k, v in sorted(
-            table.entries.items(), key=lambda kv: (-kv[0].volume, kv[0].intervals)
-        )},
-        "converged": table.result.converged,
-    })
+    _emit(cfg, rows, {"cells": {str(cell): v for _, cell, v in table.entries.by_depth()},
+                      "converged": table.result.converged})
     return 0 if table.result.converged else CHECK_FAILED
 
 
@@ -241,11 +237,9 @@ def run_convert(cfg) -> int:
         except CertificationError as e:
             print(f"certification failed: {e}", file=sys.stderr)
             return CHECK_FAILED
-        rows = [["cell", "phi"]]
-        for cell in sorted(phi.entries, key=lambda b: (-b.volume, b.intervals)):
-            rows.append([str(cell), repr(phi.entries[cell])])
-        _emit(cfg, rows, {"cells": {str(c): v for c, v in sorted(
-            phi.entries.items(), key=lambda kv: (-kv[0].volume, kv[0].intervals))}})
+        cells = {str(cell): v for _, cell, v in phi.entries.by_depth()}
+        _emit(cfg, [["cell", "phi"]] + [[c, repr(v)] for c, v in cells.items()],
+              {"cells": cells})
         return 0
     raise ConfigError(f"unknown direction {direction!r}")
 

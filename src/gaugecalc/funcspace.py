@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .intervals import Box, Partition, as_point, as_rational, fsum, point_floats
+from .intervals import (Box, DyadicTable, Partition, as_point, as_rational, fsum,
+                        point_floats)
 
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 # deepest accepted nesting of brackets and of the expression tree; the parser
@@ -627,9 +628,12 @@ class IntervalFunction:
         tolerance: float,
         name: str = "table",
     ) -> "IntervalFunction":
+        """A table of values on the dyadic cells of `parent` to `depth`:
+        `entries` is an `intervals.DyadicTable` (one float list per depth),
+        given as one or as a Box-keyed dict of such cells."""
         return cls(
             "table",
-            entries=dict(entries),
+            entries=DyadicTable.of(entries, parent, depth),
             parent=parent,
             depth=depth,
             tolerance=tolerance,
@@ -693,8 +697,10 @@ class SuperadditiveFn:
         return cls("sides", expr=expr, name=f"sides:{to_text(expr)}")
 
     @classmethod
-    def from_table(cls, entries: dict, parent: Box, depth: int, name="table"):
-        return cls("table", entries=dict(entries), parent=parent, depth=depth, name=name)
+    def from_table(cls, entries, parent: Box, depth: int, name="table"):
+        """As `IntervalFunction.table`."""
+        return cls("table", entries=DyadicTable.of(entries, parent, depth), parent=parent,
+                   depth=depth, name=name)
 
     def value(self, box: Box) -> float:
         if self.kind == "volume_power":
@@ -724,6 +730,30 @@ class SuperadditiveFn:
 
     def __repr__(self):
         return f"SuperadditiveFn({self.name})"
+
+
+def cell_reader(fn, grid) -> Callable:
+    """read(d, js) = fn.value(Q) on the cell Q = (d, js) of `grid`, read by
+    index where no Box is needed: a table on the grid's box, and the volume
+    or c |Q|^p from the exact cell volume, one per depth.  Else, and where a
+    table has no value or a control is not > 0, on the cell's Box, which
+    raises fn's own error."""
+    if getattr(fn, "_volume_fast", False):
+        return lambda d, js: grid.cell_volume(d)
+    if fn.kind == "table" and fn.entries.grid.box == grid.box:
+        raw = fn.entries.at
+    elif fn.kind == "volume_power":
+        c, p = float(fn.coeff), float(fn.p)
+        raw = lambda d, js: c * grid.cell_volume(d) ** p
+    else:
+        return lambda d, js: fn.value(grid.cell(d, js))
+    control = isinstance(fn, SuperadditiveFn)
+
+    def read(d, js):
+        v = raw(d, js)
+        return v if v is not None and (v > 0.0 or not control) else fn.value(grid.cell(d, js))
+
+    return read
 
 
 def partition_defect(H, parent: Box, partition) -> float:

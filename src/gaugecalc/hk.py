@@ -35,8 +35,9 @@ adaptive phase refines leaf by leaf.
 The tree, the table assembly and the delta-variation DP key their cells
 (depth, integer indices) on an `intervals.DyadicGrid`, the one index of
 dyadic cells: the tree takes float bounds, centers and volumes from it,
-an indefinite table is built on its tree's grid, and an exact `Box` is
-built only for a cell returned, passed to psi or G, or named in an error.
+and a table (`intervals.DyadicTable`) is one float list per depth.  An
+exact `Box` is built only for a cell returned, passed to a psi other than
+the residual's or to a G that needs one, or named in an error.
 Every sum over cells is correctly rounded (`intervals.fsum`), so no sum
 depends on the order of the cells.
 """
@@ -50,10 +51,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .funcspace import IntervalFunction, PointFunction
+from .funcspace import IntervalFunction, PointFunction, cell_reader
 from .intervals import (
     Box,
     DyadicGrid,
+    DyadicTable,
     _diam_lt,
     as_rational,
     enumerate_partitions,
@@ -187,13 +189,14 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
             return fsum([s * fast(c) for s, c in zip(signs, corners)])
         return g_eval
 
+    read = cell_reader(G, geom)  # a table on the integration box by (d, js)
+
     def g_eval(key):
-        cell = geom.cell(*key)
         try:
-            return G.value(cell)
+            return read(*key)
         except KeyError:
             raise ValueError(f"G is a table of depth {G.depth}, and the integrator needs "
-                             f"its value on {cell}, a depth-{key[0]} cell") from None
+                             f"its value on {geom.cell(*key)}, a depth-{key[0]} cell") from None
 
     return g_eval
 
@@ -683,7 +686,11 @@ def indefinite_hk(
 
     Leaf sums are grouped bottom-up, so every parent equals the correctly
     rounded sum of its children (in 1-D, their float sum); accuracy is
-    inherited from the adaptive run.  The levels of the forced grid count
+    inherited from the adaptive run.  The table (`entries`, an
+    `intervals.DyadicTable`) is one float list per depth, assembled from the
+    tree's leaves by index with no Box built; iterated, it gives the
+    depth-`depth` cells in the tree's leaf order, then each coarser level
+    in lexicographic order.  The levels of the forced grid count
     as refinement rounds: the first convergence check compares the sums
     over the depth-(depth-1) and depth-`depth` grids, so a table whose grid
     already meets tol stops at its grid depth.  The forced grid probes
@@ -711,18 +718,24 @@ def indefinite_hk(
         groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(
             leaf.value + corrections.get((d, js), 0.0))
 
-    # the depth-`depth` cells, then each coarser level in index order
-    grid = tree.geom
-    level = {js: fsum(vals) for js, vals in groups.items()}
-    entries = {grid.cell(depth, js): v for js, v in level.items()}
-    for d in range(depth - 1, -1, -1):
-        level = {js: fsum([level[c] for _, c in grid.children((d, js))])
-                 for js in sorted({tuple(j >> 1 for j in k) for k in level})}
-        entries.update((grid.cell(d, js), v) for js, v in level.items())
+    # each coarser level sums the blocks of 2^n children in the finer one
+    grid, m = DyadicGrid(box, depth), 2**box.dim
+    levels = [[0.0] * m**depth]
+    for js, vals in groups.items():
+        levels[0][grid.index(depth, js)] = fsum(vals)
+    for _ in range(depth):
+        levels.insert(0, [fsum(levels[0][i:i + m]) for i in range(0, len(levels[0]), m)])
+    # iterated as the depth-`depth` cells in the tree's order, then each
+    # coarser level in lexicographic order
+    deep = list(groups)
 
-    table = IntervalFunction.table(
-        entries, parent=box, depth=depth, tolerance=tol, name=f"indef({f.name})"
-    )
+    def order():
+        yield from ((depth, js) for js in deep)
+        for d in range(depth - 1, -1, -1):
+            yield from ((d, js) for js in itertools.product(range(2**d), repeat=box.dim))
+
+    table = IntervalFunction.table(DyadicTable(grid, levels, order), parent=box, depth=depth,
+                                   tolerance=tol, name=f"indef({f.name})")
     table.result = result
     return table
 
@@ -740,9 +753,10 @@ def cumulative(table: IntervalFunction, base) -> Callable:
         raise ValueError("cumulative is one-dimensional")
     lo, hi = parent.intervals[0]
     n = 2**table.depth
-    grid = DyadicGrid(parent, table.depth)
-    prefix = list(itertools.accumulate(
-        (table.value(grid.cell(table.depth, (i,))) for i in range(n)), initial=0.0))
+    level = [table.entries.at(table.depth, (i,)) for i in range(n)]
+    if None in level:  # raises the table's KeyError on the first cell without a value
+        table.value(table.entries.grid.cell(table.depth, (level.index(None),)))
+    prefix = list(itertools.accumulate(level, initial=0.0))
 
     def grid_index(x) -> int:
         x = as_rational(x if not isinstance(x, tuple) else x[0])
@@ -805,42 +819,39 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
 
 
 def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
-    """One table per gauge of V for every dyadic cell of `box` to `depth`.
+    """One `DyadicTable` per gauge of V for every dyadic cell of `box` to
+    `depth`, iterated children before parents (depth first).
 
     Recurrence: V(Q) = max(best admissible tag value, sum V(children));
     realizes the superadditive envelope on the dyadic class.  Cells whose
     subtree admits no delta-fine configuration carry -inf.  One walk
     serves every gauge: psi(Q, t) is evaluated at most once per (cell,
-    tag), and only when some gauge admits the pair.
+    tag), and only when some gauge admits the pair, depth first, each cell
+    before its children.  The levels are then summed bottom-up by index.
+    The residual psi of `residual_cell_fn` is read by index; any other
+    psi is called with the cell's Box, built once per cell.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
-    grid = DyadicGrid(box, depth + 1, gauges)
-    tables = [{} for _ in gauges]
-    # depth first: tags scored before the children's, values set from theirs in `done`
-    stack, done, m = [(0, (0,) * box.dim, None, None)], [], 2**box.dim
-    while stack:
-        d, js, cell, bests = stack.pop()
-        if cell is None:
-            cell, bests = grid.cell(d, js), [-math.inf] * len(tables)
-            for tag, admits in grid.admitted(d, js):
-                v = abs(psi(cell, tag)) if admits else None
-                bests = [max(b, v) if i in admits else b for i, b in enumerate(bests)]
-            if d < depth:
-                stack.append((d, js, cell, bests))
-                stack += [(*key, None, None) for key in reversed(grid.children((d, js)))]
-                continue
-        else:
-            subs, done[-m:] = done[-m:], []
-            # -inf propagates through the sums
-            bests = [max(b, fsum(s)) for b, s in zip(bests, zip(*subs))]
-        for table, best in zip(tables, bests):
-            table[cell] = best
-        done.append(bests)
-    return tables
+    grid, m = DyadicGrid(box, depth + 1, gauges), 2**box.dim
+    score = psi.on_grid(grid) if isinstance(psi, _Residual) else None
+    levels = [[[-math.inf] * m**d for d in range(depth + 1)] for _ in gauges]
+    for d, js in grid.walk(depth):
+        i, cell = grid.index(d, js), None if score else grid.cell(d, js)
+        for key, tag, admits in grid.admitted(d, js):
+            if admits:
+                v = abs(score(d, js, key, tag) if score else psi(cell, tag))
+                for g in admits:
+                    levels[g][d][i] = max(levels[g][d][i], v)
+    for table in levels:  # -inf propagates through the sums
+        for d in range(depth - 1, -1, -1):
+            below = table[d + 1]
+            table[d] = [max(b, fsum(below[m * i:m * i + m])) for i, b in enumerate(table[d])]
+    cells = DyadicGrid(box, depth)
+    return [DyadicTable(cells, table, lambda: cells.walk(depth, post=True)) for table in levels]
 
 
-def delta_variation_dp_table(psi, box: Box, gauge, depth: int) -> dict:
+def delta_variation_dp_table(psi, box: Box, gauge, depth: int) -> DyadicTable:
     """V values for every dyadic cell of `box` down to `depth`."""
     return delta_variation_dp_tables(psi, box, [gauge], depth)[0]
 
@@ -859,22 +870,41 @@ def volume_power_cell_fn(coeff: float, p: float) -> Callable:
     return psi
 
 
+class _Residual:
+    """Psi(Q, x) = f(x) G(Q) - F(Q), see `residual_cell_fn`."""
+
+    def __init__(self, f, G: IntervalFunction, F: IntervalFunction):
+        self.f, self.G, self.F, self.fx = PointFunction.resolve(f), G, F, {}
+
+    def __call__(self, box: Box, tag) -> float:
+        try:
+            v = self.fx[tag]
+        except KeyError:
+            v = self.fx[tag] = self.f(tag)
+        return v * self.G.value(box) - self.F.value(box)
+
+    def on_grid(self, grid: DyadicGrid) -> Callable:
+        """score(d, js, point key, tag) = psi(cell (d, js), tag), with G and
+        F read by index and f(tag) computed once per grid point."""
+        read_G, read_F, f, fx = cell_reader(self.G, grid), cell_reader(self.F, grid), self.f, {}
+
+        def score(d, js, key, tag):
+            try:
+                v = fx[key]
+            except KeyError:
+                v = fx[key] = f(tag)
+            return v * read_G(d, js) - read_F(d, js)
+
+        return score
+
+
 def residual_cell_fn(f, G: IntervalFunction, F: IntervalFunction) -> Callable:
     """Psi(Q, x) = f(x) G(Q) - F(Q), the Henstock-lemma residual.
 
     f(x) is computed once per tag: the cells of a dyadic walk share their
-    corner and center tags."""
-    f = PointFunction.resolve(f)
-    fx = {}
-
-    def psi(box: Box, tag) -> float:
-        try:
-            v = fx[tag]
-        except KeyError:
-            v = fx[tag] = f(tag)
-        return v * G.value(box) - F.value(box)
-
-    return psi
+    corner and center tags.  `delta_variation_dp_tables` reads this psi
+    (not a wrapper of it) by cell index, without a Box per cell."""
+    return _Residual(f, G, F)
 
 
 # ---------------------------------------------------------------------------
@@ -882,23 +912,11 @@ def residual_cell_fn(f, G: IntervalFunction, F: IntervalFunction) -> Callable:
 
 
 def table_to_csv_rows(table: IntervalFunction) -> list:
-    """Rows (depth, lo/hi per axis as rational strings, value)."""
+    """Rows (depth, lo/hi per axis as rational strings, value), by depth,
+    then lexicographically."""
     if table.kind != "table":
         raise ValueError("CSV export needs a table-backed interval function")
-    dim = table.parent.dim
-    header = ["depth"]
-    for i in range(1, dim + 1):
-        header += [f"lo{i}", f"hi{i}"]
-    header.append("value")
-    rows = [header]
-    parent_width = table.parent.intervals[0][1] - table.parent.intervals[0][0]
-    for cell in sorted(table.entries, key=lambda b: (-b.volume, b.intervals)):
-        w = cell.intervals[0][1] - cell.intervals[0][0]
-        ratio = parent_width / w  # exact power of two for dyadic tables
-        d = ratio.numerator.bit_length() - 1
-        row = [str(d)]
-        for lo, hi in cell.intervals:
-            row += [str(lo), str(hi)]
-        row.append(repr(table.entries[cell]))
-        rows.append(row)
-    return rows
+    header = [f"{end}{i}" for i in range(1, table.parent.dim + 1) for end in ("lo", "hi")]
+    return [["depth", *header, "value"]] + [
+        [str(d), *(str(c) for axis in cell.intervals for c in axis), repr(v)]
+        for d, cell, v in table.entries.by_depth()]

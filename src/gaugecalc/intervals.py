@@ -8,7 +8,8 @@ function evaluation elsewhere in the package uses floating point.
 over them (the integrator's tree, indefinite tables, the delta-variation
 DP, the partition builders and the MC verifiers' tested family) keys a
 cell by its depth and integer indices, and the grid builds a `Box` only
-for a cell it hands out.
+for a cell it hands out.  A `DyadicTable` holds values on those cells as
+one flat list per depth and maps a `Box` to its cell at the boundary.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import bisect
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -118,11 +120,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    def __hash__(self):  # cached: tables hash a cell often, Fractions slowly
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.intervals,))
-        return self.__dict__["_hash"]
 
     @cached_property
     def volume(self) -> Fraction:
@@ -480,17 +477,67 @@ class DyadicGrid:
         self.points = {}  # index tuple on the depth-top grid -> (tag, deltas)
         first = self.first = {}  # depth -> the first cell built at that depth
         self.fine = cache(lambda d, delta: _diam_lt(first[d], delta))
+        # the float of the exact volume of a depth-d cell, which in n-D is
+        # not always `volume`'s float product (0.75 * 0.8 != 0.6)
+        self.cell_volume = cache(lambda d: float(box.volume / 2 ** (d * self.dim)))
         self.bits = list(itertools.product((0, 1), repeat=self.dim))
 
     @cached_property
-    def coord(self) -> Callable:
-        """coord(i, k) = lo + k (hi - lo) / 2^top on axis i, built once; made
-        on first use, as the integrator's grid rarely needs exact geometry."""
-        axes = []  # p/q + k r/t = (a + k b) / c per axis
+    def axes(self) -> list:
+        """(a, b, c) per axis, the coordinate lo + k (hi - lo) / 2^top being
+        (a + k b) / c; made on first use, as the integrator's grid rarely
+        needs exact geometry."""
+        axes = []
         for lo, hi in self.box.intervals:
             (p, q), (r, t) = lo.as_integer_ratio(), ((hi - lo) / 2**self.top).as_integer_ratio()
             axes.append((p * t, r * q, q * t))
+        return axes
+
+    @cached_property
+    def coord(self) -> Callable:
+        """coord(i, k): coordinate k of the depth-top grid on axis i, built once."""
+        axes = self.axes
         return cache(lambda i, k: Fraction(axes[i][0] + k * axes[i][1], axes[i][2]))
+
+    def key(self, box: Box) -> Optional[tuple]:
+        """(d, js) of `box` when it is a cell of the grid, else None: its
+        endpoints in integers on the depth-top grid, with no Fraction built."""
+        if box.dim != self.dim:
+            return None
+        ds, js = set(), []
+        for (lo, hi), (a, b, c) in zip(box.intervals, self.axes):
+            (klo, r), (khi, s) = [divmod(v.numerator * c - a * v.denominator, b * v.denominator)
+                                  for v in (lo, hi)]
+            w = khi - klo  # > 0, the box being nondegenerate
+            if r or s or w & (w - 1) or klo % w or klo < 0 or khi > 1 << self.top:
+                return None
+            ds.add(self.top + 1 - w.bit_length())
+            js.append(klo // w)
+        return (ds.pop(), tuple(js)) if len(ds) == 1 else None
+
+    def index(self, d: int, js) -> int:
+        """Position of cell (d, js) among the depth-d cells in nested order
+        (`descendants` of the root): a cell's children are the 2^n positions
+        after 2^n times its own."""
+        if self.dim == 1:
+            return js[0]
+        i = 0
+        for b in range(d - 1, -1, -1):
+            for j in js:
+                i = 2 * i + (j >> b & 1)
+        return i
+
+    def walk(self, depth: int, post: bool = False) -> list:
+        """Keys of the cells to `depth`, depth first in `children` order:
+        each cell before its children, or with `post` after them."""
+        keys, stack = [], [(0, (0,) * self.dim)]
+        while stack:
+            key = stack.pop()
+            keys.append(key)
+            if key[0] < depth:
+                kids = self.children(key)
+                stack.extend(kids if post else reversed(kids))
+        return keys[::-1] if post else keys
 
     def bounds(self, key) -> list:
         d, js = key
@@ -571,8 +618,10 @@ class DyadicGrid:
         return [self.center(k) for k in self.descendants(key, r)]
 
     def admitted(self, d: int, js) -> Iterator:
-        """(tag, indices of the gauges fine there) for each candidate tag of
-        cell (d < top, js), lazily: the center, then `Box.corners` order."""
+        """(point key, tag, indices of the gauges fine there) for each
+        candidate tag of cell (d < top, js), lazily: the center, then
+        `Box.corners` order.  The key is the tag's indices on the depth-top
+        grid."""
         if d not in self.first:
             self.cell(d, js)
         s = self.top - d
@@ -582,7 +631,74 @@ class DyadicGrid:
                 tag = tuple(self.coord(i, k) for i, k in enumerate(key))
                 self.points[key] = (tag, [g(tag) for g in self.gauges])
             tag, deltas = self.points[key]
-            yield tag, [i for i, delta in enumerate(deltas) if self.fine(d, delta)]
+            yield key, tag, [i for i, delta in enumerate(deltas) if self.fine(d, delta)]
+
+
+class DyadicTable(Mapping):
+    """Values on the dyadic cells of a box to `depth`: one flat list per
+    depth, in `DyadicGrid.index` order, None where a cell has no value (a
+    table given as a dict has lists only down to its deepest cell).
+
+    A `Box` is mapped to its (d, js) at the boundary (`table[box]`, `in`,
+    `get`), and a missing cell raises KeyError(box), as a dict does.
+    Iteration reads `view`, the Box-keyed dict, built on first use with
+    its keys in the order `order()` gives them."""
+
+    def __init__(self, grid: DyadicGrid, levels: list, order: Callable):
+        self.grid, self.depth, self.levels, self.order = grid, grid.top, levels, order
+
+    @classmethod
+    def of(cls, entries, parent: Box, depth: int) -> "DyadicTable":
+        """`entries` itself, or the table of a Box-keyed dict of dyadic
+        cells of `parent` to `depth`, iterated in the dict's order."""
+        if isinstance(entries, DyadicTable):
+            return entries
+        grid = DyadicGrid(parent, depth)
+        keys = [grid.key(box) for box in entries]
+        if None in keys:
+            box = list(entries)[keys.index(None)]
+            raise ValueError(f"{box} is not a dyadic cell of {parent} to depth {depth}")
+        deepest = max((d for d, _ in keys), default=-1)
+        levels = [[None] * 2 ** (parent.dim * d) for d in range(deepest + 1)]
+        for (d, js), value in zip(keys, entries.values()):
+            levels[d][grid.index(d, js)] = value
+        return cls(grid, levels, lambda: keys)
+
+    def at(self, d: int, js):
+        """The value on cell (d, js), or None."""
+        return self.levels[d][self.grid.index(d, js)] if d < len(self.levels) else None
+
+    @cached_property
+    def view(self) -> dict:
+        cell, at = self.grid.cell, self.at
+        return {cell(d, js): at(d, js) for d, js in self.order()}
+
+    def __getitem__(self, box):
+        key = self.grid.key(box) if isinstance(box, Box) else None
+        value = None if key is None else self.at(*key)
+        if value is None:
+            raise KeyError(box)
+        return value
+
+    def __iter__(self):
+        return iter(self.view)
+
+    def __len__(self):
+        return sum(len(level) - level.count(None) for level in self.levels)
+
+    def items(self):
+        return self.view.items()
+
+    def values(self):
+        return self.view.values()
+
+    def by_depth(self) -> Iterator:
+        """(d, Box, value) for each cell with a value, by depth, then in
+        lexicographic order."""
+        for d, level in enumerate(self.levels):
+            for js in itertools.product(range(2**d), repeat=self.grid.dim):
+                if (value := level[self.grid.index(d, js)]) is not None:
+                    yield d, self.grid.cell(d, js), value
 
 
 def _fine_partition(box: Box, gauge: Gauge, budget: int, pick) -> TaggedPartition:
@@ -592,7 +708,7 @@ def _fine_partition(box: Box, gauge: Gauge, budget: int, pick) -> TaggedPartitio
     items, stack = [], [(0, (0,) * box.dim)]
     while stack:
         d, js = stack.pop()
-        tag = pick(d, (t for t, admits in grid.admitted(d, js) if admits))
+        tag = pick(d, (t for _, t, admits in grid.admitted(d, js) if admits))
         if tag is not None:
             items.append((grid.cell(d, js), tag))
         elif d >= budget:
@@ -662,9 +778,7 @@ def enumerate_partitions(box: Box, grid: Sequence) -> Iterator[Partition]:
 
 
 def dyadic_cells(box: Box, depth: int) -> Iterator[Box]:
-    """All dyadic subcells of `box` at exactly `depth` bisection levels."""
-    if depth == 0:
-        yield box
-        return
-    for child in box.bisect():
-        yield from dyadic_cells(child, depth - 1)
+    """All dyadic subcells of `box` at exactly `depth` bisection levels, in
+    nested (`Box.bisect` applied `depth` times) order."""
+    grid = DyadicGrid(box, depth)
+    return (grid.cell(*key) for key in grid.walk(depth) if key[0] == depth)

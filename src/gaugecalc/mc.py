@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._par import parallel_map
-from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn, as_scalar
+from .funcspace import (IntervalFunction, PointFunction, SuperadditiveFn, as_scalar,
+                        cell_reader)
 from .hk import delta_variation_dp_tables
 from .intervals import (
     Box,
     DyadicGrid,
+    DyadicTable,
     Gauge,
     as_point,
     as_rational,
@@ -264,33 +266,37 @@ def verify_mc(
 
 
 def _residuals(F, G, Phi, box: Box, deepest: int):
-    """residuals(x, fx, k) yields (Q, |F(Q) - fx G(Q)|, Phi(Q)), fx = f(x).
+    """(grid, residuals): residuals(x, fx, k) yields (Q, |F(Q) - fx G(Q)|,
+    Phi(Q)), fx = f(x), where Q is (d, index spans) and grid.span_box(*Q)
+    its box.
 
     The tested boxes Q are the depth-k dyadic cell containing x (on an
-    interior cut the cell on the high side) plus, for k >= 1 and when
-    every operand can be evaluated off the dyadic grid (no table kind),
-    its half-cell translates that contain x, clipped to the box: index
-    spans on the depth-(k+1) grid.
+    interior cut the cell on the high side), its values read by index where
+    the operands allow (`cell_reader`), plus, for k >= 1 and when every
+    operand can be evaluated off the dyadic grid (no table kind), its
+    half-cell translates that contain x, clipped to the box: index spans on
+    the depth-(k+1) grid.
     """
     translates = all(
         getattr(o, "kind", "corner") != "table" for o in (F, G, Phi)
     )
     grid = DyadicGrid(box, deepest + 1)
+    read_F, read_G, read_Phi = (cell_reader(o, grid) for o in (F, G, Phi))
 
     def residuals(x, fx, k):
         js = grid.containing(x, k)
-        boxes = [grid.cell(k, js)]
+        yield ((k, [(j, j + 1) for j in js]),
+               abs(read_F(k, js) - fx * read_G(k, js)), read_Phi(k, js))
         if translates and k >= 1:
             n, us = 2 ** (k + 1), grid.units(x, k + 1)
             for shifts in itertools.product((-1, 0, 1), repeat=box.dim):
                 spans = [(max(2 * j + s, 0), min(2 * j + 2 + s, n))
                          for j, s in zip(js, shifts)]
                 if any(shifts) and all(a <= u <= b for (a, b), u in zip(spans, us)):
-                    boxes.append(grid.span_box(k + 1, spans))
-        for Q in boxes:
-            yield Q, abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q)
+                    Q = grid.span_box(k + 1, spans)
+                    yield (k + 1, spans), abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q)
 
-    return residuals
+    return grid, residuals
 
 
 def verify_mc_nd(
@@ -312,7 +318,7 @@ def verify_mc_nd(
     levels = list(depth_levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("depth_levels must be a nonempty increasing sequence")
-    residuals = _residuals(F, G, Phi, box, levels[-1])
+    _, residuals = _residuals(F, G, Phi, box, levels[-1])
 
     def at(point):
         fx = f(point)
@@ -633,7 +639,7 @@ def gauge_from_control(
         raise ValueError(
             f"table-backed F only reaches depth {F.depth}, requested {depth}"
         )
-    residuals = _residuals(F, G, Phi, box, depth)
+    grid, residuals = _residuals(F, G, Phi, box, depth)
 
     def delta_at(point) -> float:
         fx = f(point)
@@ -641,6 +647,7 @@ def gauge_from_control(
         for level in range(depth + 1):
             for Q, num, den in residuals(point, fx, level):
                 if not num < eps * den:
+                    Q = grid.span_box(*Q)
                     if level == depth:
                         raise NoGaugeError(
                             f"inequality fails at the finest scale at "
@@ -686,12 +693,12 @@ def control_from_gauges(
         raise ValueError("need at least one gauge")
     tables = delta_variation_dp_tables(psi, box, gauges, depth)
     for k, table in enumerate(tables, start=1):
-        root = table[box]
+        root = table.levels[0][0]
         if root == -math.inf:
             raise CertificationError(
                 f"gauge {k} admits no delta-fine dyadic configuration"
             )
-        if any(v == -math.inf for v in table.values()):
+        if any(-math.inf in level for level in table.levels):
             raise CertificationError(
                 f"gauge {k} leaves cells without fine configurations"
             )
@@ -701,13 +708,14 @@ def control_from_gauges(
                 f"certified bound missing for k={k}: V={root} > 2^-{k}"
             )
 
-    entries = {}
-    for cell in tables[0]:
-        total = float(cell.volume)
-        total += fsum([k * tables[k - 1][cell] for k in range(1, K + 1)])
-        entries[cell] = total
+    # by index, in the tables' order; the volume is the float of the exact one
+    grid = tables[0].grid
+    levels = [[grid.cell_volume(d) + fsum([k * v for k, v in enumerate(vs, start=1)])
+               for vs in zip(*(table.levels[d] for table in tables))]
+              for d in range(depth + 1)]
     phi = SuperadditiveFn.from_table(
-        entries, box, depth, name=f"|Q|+sum k*V_k (K={K})"
+        DyadicTable(grid, levels, tables[0].order), box, depth,
+        name=f"|Q|+sum k*V_k (K={K})",
     )
     phi.certified = [0.5**k for k in range(1, K + 1)]
     return phi

@@ -197,6 +197,16 @@ OUTPUT_DIGESTS = [
      "d17a0f63f9ae14ab5fbe6efdae051650ce3e2771fe1a545709d40c766f61842f"),
     (["indefinite", "--f", "x^3-x/3", "--depth", "3", "--tol", "1e-9"],
      "69d352ddfa805576f0480647ad7322ecf9235031d5a17186e39c65cea1b234d0"),
+    # 2-D with non-dyadic widths: G is the float of the exact cell volume
+    (["convert", "--box", '[["0","3/4"],["1/5","1"]]', "--direction", "to-control",
+      "--f", "x1+x2/2", "--depth", "4", "--K", "2"],
+     "6c77d160a36d7612f836fd0cc458fc24268ca5808f0bb61e1fd537111cf9f56d"),
+    (["convert", "--box", '[["1/5","1"]]', "--direction", "to-control", "--f", "x^2",
+      "--depth", "8", "--K", "3"],
+     "6b3873e2d04c95a6fe66fe5a6805568283d292c6dc866529595f33457e3946f0"),
+    # `cumulative` over a depth-6 table
+    (["identity", "constancy", "--depth", "6"],
+     "6af0310f2b0cd0663ffc5abb016607a4bde7ec55157c6bd88d173b73883a89ef"),
 ]
 
 

@@ -8,8 +8,11 @@ family they replaced; every table, psi call, partition item, profile and
 gauge value must come out the same, and in the same order.  Likewise the
 level-by-level forced grid of `indefinite_hk` (`_Tree.force_grid`) against the
 leaf-by-leaf loop it replaced: the same f calls, leaves, nests and table.
+And the tables kept as one float list per depth (`intervals.DyadicTable`)
+against the Box-keyed dicts they replaced: the same keys, order and bits.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -31,8 +34,8 @@ from gaugecalc import (
 )
 from gaugecalc import hk, indefinite_hk
 from gaugecalc.hk import TagEvalError
-from gaugecalc.mc import NoGaugeError, gauge_from_control, verify_mc_nd
-from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, DyadicGrid, _diam_lt, fsum
+from gaugecalc.mc import NoGaugeError, control_from_gauges, gauge_from_control, verify_mc_nd
+from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, DyadicGrid, _diam_lt, dyadic_cells, fsum
 
 
 def ref_dp_tables(psi, box, gauges, depth):
@@ -527,3 +530,203 @@ def test_descendants_and_centers_follow_children_and_center(box):
             keys = [c for k in keys for c in grid.children(k)]
         assert grid.descendants(key, r) == keys
         assert grid.centers(key, r) == [grid.center(k) for k in keys]
+
+
+# ---------------------------------------------------------------------------
+# tables as flat lists per depth, against the Box-keyed dicts they replaced
+
+
+def box_dict_table(f, G, box, depth, tol):
+    """`indefinite_hk`'s entries as it assembled them in a Box-keyed dict:
+    the depth-`depth` cells in the tree's order, then each coarser level in
+    index order."""
+    f, G = hk._resolve(f, G, box)
+    tree = hk._Tree(f, G, box, hk.EVAL_BUDGET_DEFAULT)
+    tree.run(tol, min_depth=depth)
+    corrections = {}
+    for chain in tree.chains:
+        if chain.correction and chain.leaf_keys:
+            host = min(chain.leaf_keys)
+            corrections[host] = corrections.get(host, 0.0) + chain.correction
+    groups = {}
+    for (d, js), leaf in tree.leaves.items():
+        groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(
+            leaf.value + corrections.get((d, js), 0.0))
+    grid = DyadicGrid(box, depth)
+    level = {js: fsum(vals) for js, vals in groups.items()}
+    entries = {grid.cell(depth, js): v for js, v in level.items()}
+    for d in range(depth - 1, -1, -1):
+        level = {js: fsum([level[c] for _, c in grid.children((d, js))])
+                 for js in sorted({tuple(j >> 1 for j in k) for k in level})}
+        entries.update((grid.cell(d, js), v) for js, v in level.items())
+    return entries
+
+
+def ref_residual(f, G, F):
+    """The residual psi as a closure over Boxes, f once per tag."""
+    fx = {}
+
+    def psi(cell, tag):
+        if tag not in fx:
+            fx[tag] = f(tag)
+        return fx[tag] * G.value(cell) - F.value(cell)
+
+    return psi
+
+
+def bits(mapping):
+    return [(cell, v.hex()) for cell, v in mapping.items()]
+
+
+TABLE_CASES = [
+    *[("x^3-x/3", BOX_1D, d, 1e-9) for d in range(7)],
+    *[("x1^2*x2+x2/3", BOX_2D, d, 1e-6) for d in range(4)],
+    # a nest whose correction goes to its host cell
+    ("inv_sqrt", Box.unit(), 4, 1e-6),
+]
+
+
+@pytest.mark.parametrize("source,box,depth,tol", TABLE_CASES,
+                         ids=[f"{c[0]}-{c[1].dim}d-depth{c[2]}" for c in TABLE_CASES])
+def test_indefinite_table_equals_the_box_dict_assembly(source, box, depth, tol):
+    table = indefinite_hk(source, None, box, depth=depth, tol=tol)
+    assert "view" not in vars(table.entries)  # built on first iteration only
+    expected = box_dict_table(source, None, box, depth, tol)
+    assert len(table.entries) == len(expected)
+    assert bits(table.entries) == bits(expected)
+    assert table.entries == expected and expected == table.entries
+    # a Box the grid did not build maps to the same cell
+    for d in range(depth + 1):
+        for cell in dyadic_cells(box, d):
+            assert table.value(cell).hex() == expected[cell].hex()
+
+
+def test_the_table_cases_reach_a_reordered_deepest_level():
+    # a nest refined past the grid moves its cell behind the others; in
+    # 2-D the tree's order is nested, not lexicographic
+    for source, box, depth, tol in [("inv_sqrt", Box.unit(), 4, 1e-6),
+                                    ("x1^2*x2+x2/3", BOX_2D, 2, 1e-6)]:
+        deepest = [cell.intervals for cell in box_dict_table(source, None, box, depth, tol)
+                   if cell.volume == box.volume / 2 ** (box.dim * depth)]
+        assert deepest != sorted(deepest)
+
+
+def dp_case(box, depth):
+    """(f, G, F) of a residual: in 1-D F is an indefinite table, in 2-D a
+    table given as a Box-keyed dict of the exact increments of x1^2 x2."""
+    calls = []
+    if box.dim == 1:
+        f = PointFunction.from_callable(lambda x: calls.append(x) or 3 * x * x - 1 / 3,
+                                        "3x^2-1/3")
+        F = indefinite_hk("x^3-x/3", None, box, depth=depth, tol=1e-9)
+        return f, IntervalFunction.length(), F, calls
+    f = PointFunction.from_callable(lambda p: calls.append(p) or 2 * p[0] * p[1],
+                                    "2x1x2", dim=2)
+    exact = IntervalFunction.from_generator(PointFunction.from_expr("x1^2*x2", dim=2))
+    cells = [c for d in range(depth + 1) for c in dyadic_cells(box, d)]
+    F = IntervalFunction.table({c: exact.value(c) for c in cells}, box, depth, 0.0)
+    return f, IntervalFunction.volume(2), F, calls
+
+
+DP_CASES = [(BOX_1D, d) for d in range(7)] + [(BOX_2D, d) for d in range(6)]
+
+
+@pytest.mark.parametrize("box,depth", DP_CASES,
+                         ids=[f"{b.dim}d-depth{d}" for b, d in DP_CASES])
+def test_dp_tables_equal_the_depth_first_box_dp(box, depth):
+    gauges = gauges_for(box)
+    f, G, F, calls = dp_case(box, depth)
+    expected = ref_dp_tables(ref_residual(f, G, F), box, gauges, depth)
+    ref_calls = calls[:]
+    for psi in (hk.residual_cell_fn(f, G, F), ref_residual(f, G, F)):
+        calls.clear()
+        tables = delta_variation_dp_tables(psi, box, gauges, depth)
+        assert [bits(t) for t in tables] == [bits(t) for t in expected]
+        assert tables == expected
+        assert calls == ref_calls  # f once per tag, in the same order
+
+
+def test_box_lookups_and_their_key_errors():
+    table = indefinite_hk("x^2", None, BOX_1D, depth=3, tol=1e-9)
+    name = "indef(x^2) (depth 3)"
+    (lo, hi), = BOX_1D.intervals
+    deeper = dyadic_cells(BOX_1D, 4)
+    w = (hi - lo) / 8  # a depth-3 cell; the second box below is a depth-2 cell moved by w
+    for box in [Box.of((lo, (2 * lo + hi) / 3)), Box.of((lo + w, lo + 3 * w)),
+                next(deeper), Box.unit(), Box.of((lo, hi), (0, 1))]:
+        with pytest.raises(KeyError) as err:
+            table.value(box)
+        assert err.value.args == (f"{box} not in {name}",)
+        assert box not in table.entries and table.entries.get(box) is None
+    # a table given as a dict, with a cell missing
+    cells = list(table.entries)
+    partial = {cell: table.entries[cell] for cell in cells[1:]}
+    for make, text in [
+            (lambda e: IntervalFunction.table(e, BOX_1D, 3, 1e-9, name="t"), "not in t (depth 3)"),
+            (lambda e: SuperadditiveFn.from_table(e, BOX_1D, 3, name="phi"), "not in phi")]:
+        given = make(partial)
+        with pytest.raises(KeyError) as err:
+            given.value(cells[0])
+        assert err.value.args == (f"{cells[0]} {text}",)
+        assert bits(given.entries) == bits(partial) and given.entries == partial
+        assert given.value(cells[1]) == partial[cells[1]]
+    # a DP table answers [box] as a dict does
+    dp, = delta_variation_dp_tables(lambda cell, tag: 1.0, BOX_1D, [Gauge.constant(1.0)], 2)
+    with pytest.raises(KeyError) as err:
+        dp[cells[0]]
+    assert err.value.args == (cells[0],)
+
+
+def test_a_table_is_given_dyadic_cells_of_its_parent():
+    for entries in [{Box.of(("1/3", "1/2")): 1.0}, {Box.unit(2): 1.0}]:
+        with pytest.raises(ValueError, match="not a dyadic cell"):
+            IntervalFunction.table(entries, BOX_1D, 3, 1e-9)
+    # cells deeper than the depth are not cells of the table
+    with pytest.raises(ValueError, match="to depth 0"):
+        SuperadditiveFn.from_table({Box.of((0, "1/2")): 1.0}, Box.unit(), 0)
+    # a dict allocates lists down to its deepest cell, not to the depth
+    sparse = IntervalFunction.table({Box.unit(2): 2.0}, Box.unit(2), 12, 0.0)
+    assert len(sparse.entries.levels) == 1 and sparse.value(Box.unit(2)) == 2.0
+    assert IntervalFunction.table({}, Box.unit(), 3, 0.0).entries == {}
+
+
+def test_a_wrapped_residual_psi_is_called_on_every_admitted_pair():
+    # a psi wrapped as a tracer wraps it: functools.wraps copies the
+    # instance's __dict__, so only the type tells the DP it may read by index
+    f, G, F, _ = dp_case(BOX_1D, 5)
+    gauges = gauges_for(BOX_1D)
+    psi = hk.residual_cell_fn(f, G, F)
+    seen = []
+
+    @functools.wraps(psi)
+    def traced(cell, tag):
+        seen.append((cell, tag))
+        return psi(cell, tag)
+
+    assert vars(traced).items() >= vars(psi).items()
+    tables = delta_variation_dp_tables(traced, BOX_1D, gauges, 5)
+    ref_seen = []
+    ref_psi = ref_residual(f, G, F)
+    expected = ref_dp_tables(lambda c, t: ref_seen.append((c, t)) or ref_psi(c, t),
+                             BOX_1D, gauges, 5)
+    assert seen == ref_seen and len(seen) > 2**6
+    assert [bits(t) for t in tables] == [bits(t) for t in expected]
+
+
+def test_a_round_trip_builds_a_box_per_depth_at_most(monkeypatch):
+    built = []
+    post_init = Box.__post_init__
+    monkeypatch.setattr(Box, "__post_init__", lambda self: built.append(self) or post_init(self))
+    depth, unit = 10, Box.unit()
+    table = indefinite_hk("3/2*x - x^2/4", None, unit, depth=depth, tol=1e-10)
+    psi = hk.residual_cell_fn("3/2*x - x^2/4", IntervalFunction.length(), table)
+    phi = control_from_gauges(psi, [Gauge.constant(0.5), Gauge.constant(0.25)], unit, depth)
+    # the parent built 2 * 2047 (a Box per table cell)
+    assert len(built) <= 2 * (depth + 1)
+    # cumulative and a table G on the integration box read by index
+    built.clear()
+    F = hk.cumulative(table, 0)
+    result = hk.hk_integrate("1", table, unit, tol=1e-9)
+    assert built == []
+    assert result.value == table.value(unit) == pytest.approx(F(1), abs=1e-14)
+    assert len(phi.entries) == 2 ** (depth + 1) - 1
