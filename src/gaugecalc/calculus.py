@@ -264,6 +264,11 @@ def mct_experiment(
     verdict when the finite-limit hypothesis fails), the comparison with
     a direct integration of f, and, when antiderivatives F_seq are
     supplied, a verify_mc run on the constructed series control.
+
+    The column's members are integrated through `_par.parallel_map`: a
+    column heavy enough for it is shared with one forked child.  The
+    report is bit-identical either way, so members must be pure (see
+    `_par`).
     """
     a, b = float(interval[0]), float(interval[1])
     box = _box(interval[0], interval[1])

@@ -175,7 +175,10 @@ def run_verify_mc(cfg) -> int:
     if cfg.get("at") is not None:
         points = [float(p) for p in _fractions(cfg, "at")]
     else:
-        points = chebyshev_points(domain[0], domain[1], cfg.get("samples", 33))
+        n = cfg.get("samples", 33)
+        if n < 1:
+            raise ConfigError(f"--samples {n}: verify-mc needs at least one sample point")
+        points = chebyshev_points(domain[0], domain[1], n)
     verdict = verify_mc(F, f, phi, domain, points, tol=cfg.get("tol", 1e-3))
     _emit(cfg, verdict.to_csv_rows(), verdict.to_json_dict())
     for w in verdict.failures:

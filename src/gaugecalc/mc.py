@@ -249,9 +249,17 @@ def verify_mc(
     tol: float = 1e-3,
     probes_per_level: int = DEFAULT_PROBES,
 ) -> McVerdict:
-    """Finite-resolution verdict on the controlled-derivative condition."""
+    """Finite-resolution verdict on the controlled-derivative condition.
+
+    One `mc_defect` profile per sample point, in order; at least one point
+    is needed.  The points go through `_par.parallel_map`, so a heavy run
+    (many points, or a costly F or phi such as a series control) shares
+    them with one forked child; the verdict is bit-identical either way.
+    """
     domain = (float(domain[0]), float(domain[1]))
     pts = [float(p) for p in sample_points]
+    if not pts:
+        raise ValueError("verify_mc needs at least one sample point")
     for p in pts:
         if not domain[0] < p < domain[1]:
             raise ValueError(f"sample point {p} not interior to {domain}")
@@ -331,6 +339,8 @@ def verify_mc_nd(
         return qs
 
     pts = [as_point(p) for p in sample_points]
+    if not pts:
+        raise ValueError("verify_mc_nd needs at least one sample point")
     xs = [float(p[0]) if len(p) == 1 else tuple(float(c) for c in p)
           for p in pts]
     return _verdict(tol, tuple(2.0**-k for k in levels), xs,

@@ -252,6 +252,9 @@ ONE_LINE_ERRORS = [
     # a forced grid beyond the evaluation budget
     (["indefinite", "--f", "x", "--depth", "24"], 2),
     (["indefinite", "--f", "x", "--depth", "14", "--budget", "100"], 2),
+    # no sample points
+    (["verify-mc", "--F", "x^2", "--f", "2*x", "--samples", "0"], 2),
+    (["verify-mc", "--F", "x^2", "--f", "2*x", "--samples", "-3"], 2),
 ]
 
 

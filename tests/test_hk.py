@@ -212,14 +212,14 @@ class TestHkIntegrate:
         assert max(k[0] for k, s in seen if s is not None) > 53
 
 
-@pytest.mark.xfail(strict=True, reason="false convergence when every depth-1 "
-                   "cell holds a declared anchor; ROADMAP item 3 replaces "
-                   "the nest logic")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="false convergence when every depth-1 cell holds a "
+                   "declared anchor; ROADMAP item 3 replaces the nest logic")
 def test_anchors_in_every_depth_1_cell_do_not_converge_falsely():
     anchors = (Fraction(1, 4), Fraction(1, 3), Fraction(5, 7))
 
     def peaks(x):
-        return sum(abs(x - float(a)) ** -0.5 for a in anchors if x != a)
+        return sum(abs(x - float(a)) ** -0.5 for a in anchors if x != float(a))
 
     f = PointFunction.from_callable(peaks, "peaks", singular_points=anchors)
     exact = sum(2 * math.sqrt(a) + 2 * math.sqrt(1 - a) for a in anchors)

@@ -101,6 +101,10 @@ class TestVerifyMc:
         with pytest.raises(ValueError):
             verify_mc(lambda t: t, lambda t: 1.0, ID_UNIT, (0, 1), [0.0])
 
+    def test_no_sample_points_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            verify_mc(lambda t: t, lambda t: 1.0, ID_UNIT, (0, 1), [])
+
     def test_verdict_serialization(self):
         v = verify_mc(lambda t: t, lambda t: 1.0, ID_UNIT, (0, 1), [0.25, 0.5])
         data = v.to_json_dict()
@@ -381,6 +385,13 @@ class TestVerifyMcNd:
         v = verify_mc_nd(table, "3*x", G, Phi, box, samples,
                          depth_levels=range(2, 9), tol=1e-3)
         assert not v.passed
+
+    def test_no_sample_points_is_an_error(self):
+        table = indefinite_hk("2*x", None, Box.unit(), depth=4, tol=1e-10)
+        with pytest.raises(ValueError, match="at least one sample point"):
+            verify_mc_nd(table, "2*x", IntervalFunction.length(),
+                         SuperadditiveFn.volume_power(1), Box.unit(), [],
+                         depth_levels=range(2, 5))
 
 
 class TestGaugeFromControl:
