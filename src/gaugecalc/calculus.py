@@ -150,13 +150,7 @@ def check_monotone(
         return MonotoneVerdict(False, False, [(None, float(p)) for p in bad])
     if F_table.kind != "table":
         raise ValueError("check_monotone expects a table-backed indefinite")
-    failures = [
-        (cell, value)
-        for cell, value in sorted(
-            F_table.entries.items(), key=lambda kv: kv[0].intervals
-        )
-        if value < -tol
-    ]
+    failures = [(cell, value) for cell, value in F_table.entries.items() if value < -tol]
     return MonotoneVerdict(not failures, True, failures)
 
 

@@ -73,8 +73,11 @@ def _parse_box(text) -> Box:
         return text
     try:
         data = json.loads(text) if isinstance(text, str) else text
-        return Box.from_json(data)
-    except (ValueError, TypeError) as e:
+        box = Box.from_json(data)
+        for lo, hi in box.intervals:  # the engine reads the ends as floats:
+            float(lo), float(hi)  # OverflowError past the float range
+        return box
+    except (ValueError, TypeError, ArithmeticError) as e:
         raise ConfigError(f"invalid box {text!r}: {e}") from e
 
 
@@ -122,7 +125,10 @@ def _emit(cfg, rows, json_obj):
     )
     out = cfg.get("out")
     if out:
-        _write_atomic(out, text)
+        try:
+            _write_atomic(out, text)
+        except OSError as e:
+            raise ConfigError(f"--out {out!r}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -503,7 +509,7 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return CHECK_FAILED
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:  # e.g. 1/0, or 1e999 as a float
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

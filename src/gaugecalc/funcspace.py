@@ -629,8 +629,9 @@ class IntervalFunction:
         name: str = "table",
     ) -> "IntervalFunction":
         """A table of values on the dyadic cells of `parent` to `depth`:
-        `entries` is an `intervals.DyadicTable` (one float list per depth),
-        given as one or as a Box-keyed dict of such cells."""
+        `entries` is an `intervals.DyadicTable` (one float list per depth,
+        iterated by depth, then lexicographically), given as one or as a
+        Box-keyed dict of such cells."""
         return cls(
             "table",
             entries=DyadicTable.of(entries, parent, depth),

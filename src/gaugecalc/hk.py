@@ -35,9 +35,10 @@ adaptive phase refines leaf by leaf.
 The tree, the table assembly and the delta-variation DP key their cells
 (depth, integer indices) on an `intervals.DyadicGrid`, the one index of
 dyadic cells: the tree takes float bounds, centers and volumes from it,
-and a table (`intervals.DyadicTable`) is one float list per depth.  An
-exact `Box` is built only for a cell returned, passed to a psi other than
-the residual's or to a G that needs one, or named in an error.
+and a table (`intervals.DyadicTable`) is one float list per depth, which
+iterates by depth, then lexicographically.  An exact `Box` is built only
+for a cell returned, passed to a psi other than the residual's or to a G
+that needs one, or named in an error.
 Every sum over cells is correctly rounded (`intervals.fsum`), so no sum
 depends on the order of the cells.
 """
@@ -342,6 +343,8 @@ class _Tree:
         else:
             self.sum_defects += defect
             if ring is not None:
+                if ring not in self.ring_values:  # the first cell of a nest's next ring
+                    self.chains[ring[0]].ring_count += 1
                 self.ring_values[ring] = self.ring_values.get(ring, 0.0) + value
                 self.ring_defects[ring] = self.ring_defects.get(ring, 0.0) + defect
             if key[0] < MAX_DEPTH and defect > 0.0:
@@ -359,30 +362,23 @@ class _Tree:
                 self.ring_values[leaf.ring] -= leaf.value
                 self.ring_defects[leaf.ring] -= leaf.defect
 
-    def refine(self, leaf):
+    def open_ring(self, leaf):
+        """Drop `leaf` and return the ring its regular children join: its
+        own, or in a nest the next ring, which `add_leaf` counts when its
+        first cell comes."""
         self.drop_leaf(leaf)
+        if leaf.singular is None:
+            return leaf.ring
+        return leaf.singular, self.chains[leaf.singular].ring_count
+
+    def refine(self, leaf):
         m = 2**self.geom.dim
-        if leaf.singular is not None:
-            chain = self.chains[leaf.singular]
-            ring = (leaf.singular, chain.ring_count)
-            new_ring = False
-            for i, (ck, csing, cs1) in enumerate(leaf.l2):
-                crng = None if csing is not None else ring
-                new_ring = new_ring or csing is None
-                self.make_leaf(ck, probe=(csing, cs1),
-                               l2=leaf.l3[i * m:(i + 1) * m],
-                               l3=leaf.l4[i * m * m:(i + 1) * m * m],
-                               ring=crng)
-            if new_ring:
-                self.ring_values.setdefault(ring, 0.0)
-                self.ring_defects.setdefault(ring, 0.0)
-                chain.ring_count += 1
-        else:
-            for i, (ck, csing, cs1) in enumerate(leaf.l2):
-                self.make_leaf(ck, probe=(csing, cs1),
-                               l2=leaf.l3[i * m:(i + 1) * m],
-                               l3=leaf.l4[i * m * m:(i + 1) * m * m],
-                               ring=leaf.ring)
+        ring = self.open_ring(leaf)
+        for i, (ck, csing, cs1) in enumerate(leaf.l2):
+            self.make_leaf(ck, probe=(csing, cs1),
+                           l2=leaf.l3[i * m:(i + 1) * m],
+                           l3=leaf.l4[i * m * m:(i + 1) * m * m],
+                           ring=None if csing is not None else ring)
 
     def force_grid(self, root, depth):
         """Refine every leaf, level by level, from `root` down to `depth`;
@@ -410,13 +406,7 @@ class _Tree:
             g = self.g_eval((d + 4, (0,) * geom.dim)) if self.g_eval == geom.volume else None
             below = []
             for leaf, o in level:
-                self.drop_leaf(leaf)
-                if leaf.singular is not None:
-                    chain = self.chains[leaf.singular]
-                    ring = (leaf.singular, chain.ring_count)
-                else:
-                    ring = leaf.ring
-                new_ring = False
+                ring = self.open_ring(leaf)
                 for c, key in enumerate(geom.children(leaf.key), o * m):
                     singular, s1 = z1.get(c), v1[c]
                     a, b = c * m**3, (c + 1) * m**3
@@ -431,14 +421,9 @@ class _Tree:
                     value, defect = self._estimate(
                         key, singular, s1, s2, fsum(v3[c * m * m:(c + 1) * m * m]),
                         fsum(v4[a:b]))
-                    new_ring = new_ring or singular is None
                     crng = None if singular is not None else ring
                     below.append((key, self.add_leaf(_Leaf(key, singular, s1, s2, value,
                                                            defect, None, None, None, crng)), c))
-                if leaf.singular is not None and new_ring:
-                    self.ring_values.setdefault(ring, 0.0)
-                    self.ring_defects.setdefault(ring, 0.0)
-                    chain.ring_count += 1
             vals, sings = [v2, v3, v4], [z2, z3, z4]
             level = [(leaf, c) for _, leaf, c in sorted(below)]
         # the probe caches of the grid leaves, as slices of one list per level
@@ -688,9 +673,8 @@ def indefinite_hk(
     rounded sum of its children (in 1-D, their float sum); accuracy is
     inherited from the adaptive run.  The table (`entries`, an
     `intervals.DyadicTable`) is one float list per depth, assembled from the
-    tree's leaves by index with no Box built; iterated, it gives the
-    depth-`depth` cells in the tree's leaf order, then each coarser level
-    in lexicographic order.  The levels of the forced grid count
+    tree's leaves by index with no Box built, and iterated as every table
+    is: by depth, then lexicographically.  The levels of the forced grid count
     as refinement rounds: the first convergence check compares the sums
     over the depth-(depth-1) and depth-`depth` grids, so a table whose grid
     already meets tol stops at its grid depth.  The forced grid probes
@@ -725,16 +709,7 @@ def indefinite_hk(
         levels[0][grid.index(depth, js)] = fsum(vals)
     for _ in range(depth):
         levels.insert(0, [fsum(levels[0][i:i + m]) for i in range(0, len(levels[0]), m)])
-    # iterated as the depth-`depth` cells in the tree's order, then each
-    # coarser level in lexicographic order
-    deep = list(groups)
-
-    def order():
-        yield from ((depth, js) for js in deep)
-        for d in range(depth - 1, -1, -1):
-            yield from ((d, js) for js in itertools.product(range(2**d), repeat=box.dim))
-
-    table = IntervalFunction.table(DyadicTable(grid, levels, order), parent=box, depth=depth,
+    table = IntervalFunction.table(DyadicTable(grid, levels), parent=box, depth=depth,
                                    tolerance=tol, name=f"indef({f.name})")
     table.result = result
     return table
@@ -744,7 +719,9 @@ def cumulative(table: IntervalFunction, base) -> Callable:
     """Point function F(x) = (table increment from `base` to x), 1-D.
 
     Defined on the table's depth-level grid; `base` and queries must be
-    grid points.
+    grid points.  F(x) is the correctly rounded sum of the cells between
+    `base` and x: each cell is an integer multiple of 2^-K, and the prefix
+    sums are exact integers.
     """
     if table.kind != "table":
         raise ValueError("cumulative needs a table-backed interval function")
@@ -752,11 +729,17 @@ def cumulative(table: IntervalFunction, base) -> Callable:
     if parent.dim != 1:
         raise ValueError("cumulative is one-dimensional")
     lo, hi = parent.intervals[0]
-    n = 2**table.depth
+    n, grid = 2**table.depth, table.entries.grid
     level = [table.entries.at(table.depth, (i,)) for i in range(n)]
     if None in level:  # raises the table's KeyError on the first cell without a value
-        table.value(table.entries.grid.cell(table.depth, (level.index(None),)))
-    prefix = list(itertools.accumulate(level, initial=0.0))
+        table.value(grid.cell(table.depth, (level.index(None),)))
+    for i, v in enumerate(level):
+        if not math.isfinite(v):
+            raise ValueError(f"{table.name} is {v} on {grid.cell(table.depth, (i,))}, not finite")
+    ratios = [v.as_integer_ratio() for v in level]  # denominators are powers of 2
+    K = max(q.bit_length() for _, q in ratios) - 1
+    prefix = list(itertools.accumulate((p << (K + 1 - q.bit_length()) for p, q in ratios),
+                                       initial=0))
 
     def grid_index(x) -> int:
         x = as_rational(x if not isinstance(x, tuple) else x[0])
@@ -768,7 +751,7 @@ def cumulative(table: IntervalFunction, base) -> Callable:
     b = grid_index(base)
 
     def F(x) -> float:
-        return prefix[grid_index(x)] - prefix[b]
+        return (prefix[grid_index(x)] - prefix[b]) / 2**K
 
     return F
 
@@ -820,7 +803,7 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
 
 def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
     """One `DyadicTable` per gauge of V for every dyadic cell of `box` to
-    `depth`, iterated children before parents (depth first).
+    `depth`, iterated as every table is: by depth, then lexicographically.
 
     Recurrence: V(Q) = max(best admissible tag value, sum V(children));
     realizes the superadditive envelope on the dyadic class.  Cells whose
@@ -848,7 +831,7 @@ def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
             below = table[d + 1]
             table[d] = [max(b, fsum(below[m * i:m * i + m])) for i, b in enumerate(table[d])]
     cells = DyadicGrid(box, depth)
-    return [DyadicTable(cells, table, lambda: cells.walk(depth, post=True)) for table in levels]
+    return [DyadicTable(cells, table) for table in levels]
 
 
 def delta_variation_dp_table(psi, box: Box, gauge, depth: int) -> DyadicTable:

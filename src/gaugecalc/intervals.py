@@ -527,17 +527,16 @@ class DyadicGrid:
                 i = 2 * i + (j >> b & 1)
         return i
 
-    def walk(self, depth: int, post: bool = False) -> list:
-        """Keys of the cells to `depth`, depth first in `children` order:
-        each cell before its children, or with `post` after them."""
+    def walk(self, depth: int) -> list:
+        """Keys of the cells to `depth`, depth first in `children` order,
+        each cell before its children."""
         keys, stack = [], [(0, (0,) * self.dim)]
         while stack:
             key = stack.pop()
             keys.append(key)
             if key[0] < depth:
-                kids = self.children(key)
-                stack.extend(kids if post else reversed(kids))
-        return keys[::-1] if post else keys
+                stack.extend(reversed(self.children(key)))
+        return keys
 
     def bounds(self, key) -> list:
         d, js = key
@@ -641,16 +640,16 @@ class DyadicTable(Mapping):
 
     A `Box` is mapped to its (d, js) at the boundary (`table[box]`, `in`,
     `get`), and a missing cell raises KeyError(box), as a dict does.
-    Iteration reads `view`, the Box-keyed dict, built on first use with
-    its keys in the order `order()` gives them."""
+    Every table iterates in one order, `by_depth`'s: by depth, then
+    lexicographically, each cell's Box built as it is reached."""
 
-    def __init__(self, grid: DyadicGrid, levels: list, order: Callable):
-        self.grid, self.depth, self.levels, self.order = grid, grid.top, levels, order
+    def __init__(self, grid: DyadicGrid, levels: list):
+        self.grid, self.depth, self.levels = grid, grid.top, levels
 
     @classmethod
     def of(cls, entries, parent: Box, depth: int) -> "DyadicTable":
         """`entries` itself, or the table of a Box-keyed dict of dyadic
-        cells of `parent` to `depth`, iterated in the dict's order."""
+        cells of `parent` to `depth`."""
         if isinstance(entries, DyadicTable):
             return entries
         grid = DyadicGrid(parent, depth)
@@ -662,16 +661,11 @@ class DyadicTable(Mapping):
         levels = [[None] * 2 ** (parent.dim * d) for d in range(deepest + 1)]
         for (d, js), value in zip(keys, entries.values()):
             levels[d][grid.index(d, js)] = value
-        return cls(grid, levels, lambda: keys)
+        return cls(grid, levels)
 
     def at(self, d: int, js):
         """The value on cell (d, js), or None."""
         return self.levels[d][self.grid.index(d, js)] if d < len(self.levels) else None
-
-    @cached_property
-    def view(self) -> dict:
-        cell, at = self.grid.cell, self.at
-        return {cell(d, js): at(d, js) for d, js in self.order()}
 
     def __getitem__(self, box):
         key = self.grid.key(box) if isinstance(box, Box) else None
@@ -681,16 +675,10 @@ class DyadicTable(Mapping):
         return value
 
     def __iter__(self):
-        return iter(self.view)
+        return (cell for _, cell, _ in self.by_depth())
 
     def __len__(self):
         return sum(len(level) - level.count(None) for level in self.levels)
-
-    def items(self):
-        return self.view.items()
-
-    def values(self):
-        return self.view.values()
 
     def by_depth(self) -> Iterator:
         """(d, Box, value) for each cell with a value, by depth, then in

@@ -718,13 +718,13 @@ def control_from_gauges(
                 f"certified bound missing for k={k}: V={root} > 2^-{k}"
             )
 
-    # by index, in the tables' order; the volume is the float of the exact one
+    # by index; the volume is the float of the exact one
     grid = tables[0].grid
     levels = [[grid.cell_volume(d) + fsum([k * v for k, v in enumerate(vs, start=1)])
                for vs in zip(*(table.levels[d] for table in tables))]
               for d in range(depth + 1)]
     phi = SuperadditiveFn.from_table(
-        DyadicTable(grid, levels, tables[0].order), box, depth,
+        DyadicTable(grid, levels), box, depth,
         name=f"|Q|+sum k*V_k (K={K})",
     )
     phi.certified = [0.5**k for k in range(1, K + 1)]
@@ -732,7 +732,10 @@ def control_from_gauges(
 
 
 def chebyshev_points(a: float, b: float, n: int) -> list:
-    """n Chebyshev-spaced interior points of (a, b), ascending."""
+    """n Chebyshev-spaced interior points of (a, b), ascending; for odd n
+    the middle one is the midpoint itself (cos(pi/2) is not 0 in floats)."""
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     pts = [mid + half * math.cos(math.pi * (2 * i + 1) / (2 * n)) for i in range(n)]
+    if n % 2:
+        pts[n // 2] = mid
     return sorted(pts)

@@ -255,6 +255,15 @@ ONE_LINE_ERRORS = [
     # no sample points
     (["verify-mc", "--F", "x^2", "--f", "2*x", "--samples", "0"], 2),
     (["verify-mc", "--F", "x^2", "--f", "2*x", "--samples", "-3"], 2),
+    # tracebacks found while fuzzing the CLI: an output path that cannot
+    # be written, a zero denominator, and values beyond the float range
+    (["integrate", "--f", "x", "--out", os.path.join(os.devnull, "out.csv")], 2),
+    (["identity", "additivity", "--f", "x", "--c", "1/0"], 2),
+    (["integrate", "--f", "x", "--box", '[["1/0","1"]]'], 2),
+    (["verify-mc", "--F", "x", "--f", "1", "--at", "1e999"], 2),
+    (["identity", "additivity", "--f", "x", "--c", "1e999"], 2),
+    (["variation", "--box", "[-1e308,1e308]"], 2),
+    (["verify-mc", "--F", "x", "--f", "1", "--box", '[["-1e999","1"]]'], 2),
 ]
 
 

@@ -4,12 +4,14 @@
 and the tested family of `verify_mc_nd` and `gauge_from_control` walk
 dyadic cells by integer index (`intervals.DyadicGrid`).  The references
 below are the `Box.bisect` recursions and the `Box` translate-and-clip
-family they replaced; every table, psi call, partition item, profile and
-gauge value must come out the same, and in the same order.  Likewise the
-level-by-level forced grid of `indefinite_hk` (`_Tree.force_grid`) against the
-leaf-by-leaf loop it replaced: the same f calls, leaves, nests and table.
-And the tables kept as one float list per depth (`intervals.DyadicTable`)
-against the Box-keyed dicts they replaced: the same keys, order and bits.
+family they replaced; every psi call, partition item, profile and gauge
+value must come out the same, and in the same order, and every table cell
+with the same bits.  Likewise the level-by-level forced grid of
+`indefinite_hk` (`_Tree.force_grid`) against the leaf-by-leaf loop it
+replaced: the same f calls, leaves, nests and table.  And the tables kept
+as one float list per depth (`intervals.DyadicTable`) against the
+Box-keyed dicts they replaced: the same cells and bits, iterated in one
+order (by depth, then lexicographically).
 """
 
 import functools
@@ -33,6 +35,7 @@ from gaugecalc import (
     random_fine_partition,
 )
 from gaugecalc import hk, indefinite_hk
+from gaugecalc.calculus import check_monotone
 from gaugecalc.hk import TagEvalError
 from gaugecalc.mc import NoGaugeError, control_from_gauges, gauge_from_control, verify_mc_nd
 from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, DyadicGrid, _diam_lt, dyadic_cells, fsum
@@ -124,6 +127,11 @@ def gauges_for(box):
     return gauges
 
 
+def bits(mapping):
+    """A table's cells and values, bit for bit, in an order of their own."""
+    return sorted((cell.intervals, v.hex()) for cell, v in mapping.items())
+
+
 def tag_psi(calls):
     def psi(cell, tag):
         calls.append((cell, tag))
@@ -140,7 +148,7 @@ def test_dp_tables_and_psi_calls_equal_the_recursion(box, depth):
     tables = delta_variation_dp_tables(tag_psi(calls), box, gauges, depth)
     expected = ref_dp_tables(tag_psi(ref_calls), box, gauges, depth)
     for table, ref in zip(tables, expected):
-        assert list(table.items()) == list(ref.items())
+        assert bits(table) == bits(ref)
     assert calls == ref_calls
     assert len(calls) == len(set(calls))
     assert all(v == -math.inf for v in tables[2].values())
@@ -155,7 +163,7 @@ def test_dp_with_one_gauge_per_table_equals_the_recursion(depth):
         calls, ref_calls = [], []
         table, = delta_variation_dp_tables(tag_psi(calls), BOX_1D, [gauge], depth)
         ref, = ref_dp_tables(tag_psi(ref_calls), BOX_1D, [gauge], depth)
-        assert list(table.items()) == list(ref.items())
+        assert bits(table) == bits(ref)
         assert calls == ref_calls
 
 
@@ -459,8 +467,7 @@ def table_state(monkeypatch, cls, source, box, depth, tol, dim=1):
     with monkeypatch.context() as m:
         m.setattr(hk, "_Tree", cls)
         table = indefinite_hk(f, None, box, depth=depth, tol=tol)
-    entries = sorted((cell.intervals, v.hex()) for cell, v in table.entries.items())
-    return entries, table.result, calls
+    return bits(table.entries), table.result, calls
 
 
 FORCED_CASES = [
@@ -574,8 +581,6 @@ def ref_residual(f, G, F):
     return psi
 
 
-def bits(mapping):
-    return [(cell, v.hex()) for cell, v in mapping.items()]
 
 
 TABLE_CASES = [
@@ -590,7 +595,6 @@ TABLE_CASES = [
                          ids=[f"{c[0]}-{c[1].dim}d-depth{c[2]}" for c in TABLE_CASES])
 def test_indefinite_table_equals_the_box_dict_assembly(source, box, depth, tol):
     table = indefinite_hk(source, None, box, depth=depth, tol=tol)
-    assert "view" not in vars(table.entries)  # built on first iteration only
     expected = box_dict_table(source, None, box, depth, tol)
     assert len(table.entries) == len(expected)
     assert bits(table.entries) == bits(expected)
@@ -601,14 +605,34 @@ def test_indefinite_table_equals_the_box_dict_assembly(source, box, depth, tol):
             assert table.value(cell).hex() == expected[cell].hex()
 
 
-def test_the_table_cases_reach_a_reordered_deepest_level():
-    # a nest refined past the grid moves its cell behind the others; in
-    # 2-D the tree's order is nested, not lexicographic
-    for source, box, depth, tol in [("inv_sqrt", Box.unit(), 4, 1e-6),
-                                    ("x1^2*x2+x2/3", BOX_2D, 2, 1e-6)]:
-        deepest = [cell.intervals for cell in box_dict_table(source, None, box, depth, tol)
-                   if cell.volume == box.volume / 2 ** (box.dim * depth)]
-        assert deepest != sorted(deepest)
+def by_depth_cells(box, depth):
+    """The dyadic cells of `box` to `depth`, by depth, then lexicographically."""
+    return [cell for d in range(depth + 1)
+            for cell in sorted(dyadic_cells(box, d), key=lambda c: c.intervals)]
+
+
+@pytest.mark.parametrize("source,box,depth,tol", [("inv_sqrt", Box.unit(), 4, 1e-6),
+                                                  ("x1^2*x2+x2/3", BOX_2D, 2, 1e-6)],
+                         ids=["nest-1d", "2d"])
+def test_every_table_iterates_by_depth_then_lexicographically(source, box, depth, tol):
+    # a nest refined past the grid, and the tree's nested 2-D order, do not
+    # reach the table's order
+    expected = by_depth_cells(box, depth)
+    indefinite = indefinite_hk(source, None, box, depth=depth, tol=tol).entries
+    dp = delta_variation_dp_tables(lambda cell, tag: float(cell.volume), box,
+                                   gauges_for(box), depth)
+    given = {cell: float(i) for i, cell in enumerate(reversed(expected))}
+    tables = [indefinite, *dp, IntervalFunction.table(given, box, depth, 0.0).entries,
+              SuperadditiveFn.from_table(given, box, depth).entries]
+    for table in tables:
+        assert list(table) == [cell for _, cell, _ in table.by_depth()] == expected
+        assert list(table.items()) == [(cell, table[cell]) for cell in expected]
+        assert list(table.values()) == [table[cell] for cell in expected]
+    # check_monotone reports its failures in the same order
+    negative = IntervalFunction.table({cell: -v - 1.0 for cell, v in given.items()},
+                                      box, depth, 0.0)
+    verdict = check_monotone(negative, "1", [0.5])
+    assert verdict.failures == [(cell, negative.value(cell)) for cell in expected]
 
 
 def dp_case(box, depth):
@@ -658,23 +682,24 @@ def test_box_lookups_and_their_key_errors():
             table.value(box)
         assert err.value.args == (f"{box} not in {name}",)
         assert box not in table.entries and table.entries.get(box) is None
-    # a table given as a dict, with a cell missing
-    cells = list(table.entries)
-    partial = {cell: table.entries[cell] for cell in cells[1:]}
+    # a table given as a dict, with its first depth-3 cell missing
+    missing, kept = Box.of((lo, lo + w)), Box.of((lo + w, lo + 2 * w))
+    partial = {cell: v for cell, v in table.entries.items() if cell != missing}
+    assert len(partial) == len(table.entries) - 1
     for make, text in [
             (lambda e: IntervalFunction.table(e, BOX_1D, 3, 1e-9, name="t"), "not in t (depth 3)"),
             (lambda e: SuperadditiveFn.from_table(e, BOX_1D, 3, name="phi"), "not in phi")]:
         given = make(partial)
         with pytest.raises(KeyError) as err:
-            given.value(cells[0])
-        assert err.value.args == (f"{cells[0]} {text}",)
+            given.value(missing)
+        assert err.value.args == (f"{missing} {text}",)
         assert bits(given.entries) == bits(partial) and given.entries == partial
-        assert given.value(cells[1]) == partial[cells[1]]
+        assert given.value(kept) == partial[kept]
     # a DP table answers [box] as a dict does
     dp, = delta_variation_dp_tables(lambda cell, tag: 1.0, BOX_1D, [Gauge.constant(1.0)], 2)
     with pytest.raises(KeyError) as err:
-        dp[cells[0]]
-    assert err.value.args == (cells[0],)
+        dp[missing]
+    assert err.value.args == (missing,)
 
 
 def test_a_table_is_given_dyadic_cells_of_its_parent():

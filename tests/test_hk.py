@@ -279,6 +279,26 @@ class TestIndefinite:
         with pytest.raises(ValueError):
             F(0.3)  # not a grid point
 
+    def test_cumulative_increments_are_correctly_rounded_sums(self):
+        # a running float prefix gave 0.6666666666666651 here
+        table = indefinite_hk("3/2*x - x^2/4", LENGTH, Box.unit(), depth=10, tol=1e-10)
+        cells = [table.entries.at(10, (i,)) for i in range(2**10)]
+        F = cumulative(table, 0)
+        assert F(1) == math.fsum(cells) == 0.6666666666666666
+        rng = random.Random(12)
+        for _ in range(200):
+            a, b = sorted(rng.sample(range(2**10 + 1), 2))
+            Fa = cumulative(table, Fraction(a, 2**10))
+            assert Fa(Fraction(b, 2**10)) == math.fsum(cells[a:b])
+            assert Fa(Fraction(a, 2**10)) == 0.0
+
+    def test_cumulative_names_a_cell_that_is_not_finite(self):
+        cells = {c: 1.0 for c in dyadic_cells(Box.unit(), 2)}
+        cells[Box.of(("1/2", "3/4"))] = math.inf
+        table = IntervalFunction.table(cells, Box.unit(), 2, 0.0, name="t")
+        with pytest.raises(ValueError, match=r"t is inf on \[1/2,3/4\], not finite"):
+            cumulative(table, 0)
+
     def test_quadratic_stops_at_its_grid_depth(self):
         # the depth-9 and depth-10 grids are the two successive sums of the
         # convergence test, so no leaf is refined past the grid: cells at

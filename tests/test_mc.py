@@ -40,6 +40,17 @@ ID_UNIT = ControlFunction1D.identity((0, 1))
 ID_SYM = ControlFunction1D.identity((-1, 1))
 
 
+@pytest.mark.parametrize("a,b", [(-1, 1), (0, 1)])
+def test_an_odd_count_of_chebyshev_points_has_the_exact_midpoint(a, b):
+    pts = chebyshev_points(a, b, 33)
+    assert pts[16] == (a + b) / 2 and pts == sorted(pts) and len(set(pts)) == 33
+    # the other points are the cosine formula's, bit for bit
+    mid, half = (a + b) / 2, (b - a) / 2
+    formula = sorted(mid + half * math.cos(math.pi * (2 * i + 1) / 66) for i in range(33))
+    assert pts[:16] + pts[17:] == formula[:16] + formula[17:]
+    assert formula[16] == (6.123233995736766e-17 if a == -1 else 0.5)
+
+
 class TestMcDefect:
     def test_quadratic_pair_decays_like_h(self):
         qs = mc_defect(lambda t: t * t / 2, lambda t: t, ID_UNIT, 0.3)
