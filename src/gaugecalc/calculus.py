@@ -247,7 +247,6 @@ def mct_experiment(
     K: int,
     tol: float = 1e-3,
     F_seq: Optional[Sequence] = None,
-    phi_seq: Optional[Sequence] = None,
     F=None,
     integral_tol: Optional[float] = None,
 ) -> MctReport:
@@ -300,8 +299,7 @@ def mct_experiment(
 
     control_verdict = None
     if converged and F_seq is not None:
-        if phi_seq is None:
-            phi_seq = [ControlFunction1D.identity((a, b)) for _ in F_seq]
+        phi_seq = [ControlFunction1D.identity((a, b)) for _ in F_seq]
         try:
             control = mct_control(F_seq, members, phi_seq, (a, b), F=F)
             target_F = F if F is not None else F_seq[-1]

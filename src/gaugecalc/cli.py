@@ -62,6 +62,7 @@ from .mc import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+MCT_K_MAX = 1024  # the column's members are all held at once
 
 
 class ConfigError(Exception):
@@ -74,19 +75,30 @@ def _parse_box(text) -> Box:
     try:
         data = json.loads(text) if isinstance(text, str) else text
         box = Box.from_json(data)
-        for lo, hi in box.intervals:  # the engine reads the ends as floats:
-            float(lo), float(hi)  # OverflowError past the float range
+        for lo, hi in box.intervals:  # the engine reads the ends and widths as
+            float(lo), float(hi), float(hi - lo)  # floats: OverflowError past their range
         return box
     except (ValueError, TypeError, ArithmeticError) as e:
         raise ConfigError(f"invalid box {text!r}: {e}") from e
 
 
 def _fractions(cfg, key) -> list:
-    """Comma-separated rational numbers of a config value."""
+    """Comma-separated rational numbers of a config value, in the float range."""
     try:
-        return [Fraction(p) for p in str(cfg[key]).split(",")]
-    except (ValueError, ZeroDivisionError) as e:
+        values = [Fraction(p) for p in str(cfg[key]).split(",")]
+        for v in values:
+            float(v)  # OverflowError past the float range
+        return values
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(f"--{key} {cfg[key]!r}: {e}") from e
+
+
+def _rational(cfg, key) -> Fraction:
+    """The one rational number of a config value."""
+    values = _fractions(cfg, key)
+    if len(values) != 1:
+        raise ConfigError(f"--{key} {cfg[key]!r}: one number expected")
+    return values[0]
 
 
 def _endpoints(box: Box):
@@ -279,10 +291,9 @@ def run_identity(cfg) -> int:
     if kind in ("parts", "change", "additivity"):
         spec = IDENTITY_PRESETS[kind].get(preset)
         if spec is None and kind == "additivity" and cfg.get("f"):
-            spec = dict(
-                f=cfg["f"], a=cfg.get("a", "0"), b=cfg.get("b", "1/2"),
-                c=cfg.get("c", "1"), tol=cfg.get("tol", 1e-6),
-            )
+            cfg = {"a": "0", "b": "1/2", "c": "1", **cfg}
+            spec = dict(f=cfg["f"], tol=cfg.get("tol", 1e-6),
+                        **{key: _rational(cfg, key) for key in ("a", "b", "c")})
         if spec is None:
             raise ConfigError(
                 f"unknown preset {preset!r} for {kind} "
@@ -466,6 +477,8 @@ def _validate(cfg: dict, command: str):
         raise ConfigError("budget must be >= 1")
     if cfg.get("depth") is not None and not 0 <= cfg["depth"] <= DP_DEPTH_CAP:
         raise ConfigError(f"depth must be in 0..{DP_DEPTH_CAP}, got {cfg['depth']}")
+    if command == "mct" and cfg.get("K", 0) > MCT_K_MAX:
+        raise ConfigError(f"--K {cfg['K']}: mct takes at most {MCT_K_MAX} members")
     for key in ("f", "F", "G", "phi"):
         if cfg.get(key) is not None:
             try:

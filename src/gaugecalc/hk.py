@@ -15,12 +15,15 @@ against a feature hidden at the cell's edge.
 
 Cells containing a declared singular point of f are tagged at that point
 (the gauge-integration choice: the singular point must tag its own cell).
-Around each such point the tree keeps a shrinking nest; the masses of the
-successive "rings" peeled off the nest are extrapolated geometrically to
-estimate the remaining mass, and that estimate doubles as the nest's error
-indicator.  This converges for monotone endpoint blow-ups (inv_sqrt) and
-for oscillating-unbounded derivatives (hk_derivative) alike, where any
-fixed interior-tag rule provably stalls.
+Containment is decided by index on the exact point: a depth-d cell holds it
+when, on each axis, its index is the floor of the point's coordinate in box
+units times 2^d, or one less on a cut.  Around each such point the tree
+keeps a shrinking nest (`_Nest`); the masses of the successive "rings"
+peeled off the nest are extrapolated geometrically to estimate the
+remaining mass, and that estimate doubles as the nest's error indicator.
+This converges for monotone endpoint blow-ups (inv_sqrt) and for
+oscillating-unbounded derivatives (hk_derivative) alike, where any fixed
+interior-tag rule provably stalls.
 
 A run stops when the summed defects and the change between two successive
 global sums are both below tol/2.  An indefinite table first refines every
@@ -50,6 +53,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .funcspace import IntervalFunction, PointFunction, cell_reader
@@ -121,23 +125,100 @@ ALIAS_GUARD = 0.005  # weight of the raw composite-pair defect (alias tripwire)
 EDGE_GUARD = 0.005  # weight of the trapezoid-vs-midpoint gap (edge tripwire)
 
 
-class _SingularAnchor:
-    """Exact containment test for one declared singular point."""
+class _Nest:
+    """The shrinking nest of cells around one declared singular point.
+
+    A cell that holds the point is tagged there; refining it peels off a
+    ring of regular cells around the cells that still hold it.  The rings'
+    masses and defects are kept in the order they were peeled.
+    """
+
+    __slots__ = ("floats", "rel", "keys", "masses", "defects", "correction", "defect")
 
     def __init__(self, point, box: Box):
         self.floats = tuple(float(c) for c in point)
         # coordinate of the point in box units, exact
-        self.rel = tuple(
-            (c - lo) / (hi - lo) for c, (lo, hi) in zip(point, box.intervals)
-        )
+        self.rel = [(c - lo) / (hi - lo) for c, (lo, hi) in zip(point, box.intervals)]
+        self.keys = set()  # of the leaves tagged at the point
+        self.masses, self.defects = [], []  # per ring
+        self.correction = self.defect = 0.0
 
-    def contained(self, key) -> bool:
-        d, js = key
-        for r, j in zip(self.rel, js):
-            scaled = r * (1 << d)
-            if not (j <= scaled <= j + 1):
-                return False
-        return True
+    def cells(self, d) -> list:
+        """Indices of the depth-d cells that hold the point: on each axis the
+        floor of its coordinate times 2^d, and the cell below on a cut."""
+        axes = []
+        for r in self.rel:
+            j, rem = divmod(r.numerator << d, r.denominator)
+            axes.append([i for i in ((j,) if rem else (j - 1, j)) if 0 <= i < 1 << d])
+        return list(itertools.product(*axes))
+
+    def update(self, leaves):
+        # The remaining mass inside a nest is extrapolated geometrically
+        # only when the last three ring masses show a consistent ratio;
+        # otherwise (oscillating phases can make a single ring mass tiny
+        # by accident) the base defect is the window maximum of the
+        # masses.  Masses of rings that are themselves unresolved are
+        # meaningless, so the recent rings' own defects are added: the
+        # nest cannot claim precision its rings do not have yet.
+        R = len(self.masses)
+        self.correction = 0.0
+        if R < 2:  # the tagged cells' own gaps, and the first ring's mass
+            raw = fsum([abs(leaves[k].s1 - leaves[k].s2) for k in sorted(self.keys)])
+            self.defect = abs(self.masses[0]) + raw if R else raw
+            return
+        m0, m1 = self.masses[-2:]
+        recent = sum(self.defects[-2:])
+        if R == 2:
+            self.defect = abs(m1) + abs(m0) + 0.5 * recent
+            return
+        m2 = self.masses[-3]
+        r1 = m1 / m0 if m0 != 0.0 else math.inf
+        r2 = m0 / m2 if m2 != 0.0 else math.inf
+        if 0.0 < r1 <= 0.95 and 0.0 < r2 <= 0.95 and 0.5 <= r1 / r2 <= 2.0:
+            self.correction = m1 * r1 / (1.0 - r1)
+            self.defect = abs(self.correction) + 0.5 * recent
+        else:
+            # erratic (phase-cancelling) masses: bound the remaining
+            # tail by the mass envelope, its decay fitted over the
+            # last several rings (single ratios are phase noise)
+            rho = self.decay()
+            peak = max(abs(m1), rho * abs(m0), rho * rho * abs(m2))
+            self.defect = peak * rho / (1.0 - rho) + 0.5 * recent
+
+    def decay(self, window=6):
+        """Least-squares decay rate of log ring-mass over recent rings.
+
+        Clamped to [0.05, 0.9]; degenerates to the conservative end when
+        masses carry no usable trend.
+        """
+        ks, logs = [], []
+        start = max(0, len(self.masses) - window)
+        for rr, v in enumerate(self.masses[start:], start):
+            v = abs(v)
+            if v > 0.0:
+                ks.append(float(rr))
+                logs.append(math.log(v))
+        if len(ks) < 3:
+            return 0.9
+        n = len(ks)
+        mean_k = sum(ks) / n
+        mean_l = sum(logs) / n
+        var = sum((k - mean_k) ** 2 for k in ks)
+        if var == 0.0:
+            return 0.9
+        slope = sum((k - mean_k) * (l - mean_l) for k, l in zip(ks, logs)) / var
+        return min(0.9, max(0.05, math.exp(slope)))
+
+    def blocked(self, share) -> bool:
+        """Do not deepen a nest while its last two rings are unresolved.
+
+        Resolution is judged absolutely, against the nest's tolerance
+        share: ring masses feed the remaining-tail estimate, so they must
+        be known to that precision before the nest peels another ring.
+        An unresolved ring's mass estimate is meaningless, and judging it
+        relative to itself would let nests race ahead on noise.
+        """
+        return any(d > 0.5 * share for d in self.defects[-2:])
 
 
 class _Leaf:
@@ -146,7 +227,7 @@ class _Leaf:
 
     def __init__(self, key, singular, s1, s2, value, defect, l2, l3, l4, ring):
         self.key = key
-        self.singular = singular  # anchor index or None
+        self.singular = singular  # the _Nest whose point tags the cell, or None
         self.s1 = s1
         self.s2 = s2
         self.value = value
@@ -157,19 +238,7 @@ class _Leaf:
         self.l2 = l2
         self.l3 = l3
         self.l4 = l4
-        self.ring = ring  # (anchor_index, ring_index) or None
-
-
-class _Chain:
-    """Bookkeeping of the shrinking nest around one singular point."""
-
-    __slots__ = ("ring_count", "correction", "defect", "leaf_keys")
-
-    def __init__(self):
-        self.ring_count = 0
-        self.correction = 0.0
-        self.defect = 0.0
-        self.leaf_keys = set()
+        self.ring = ring  # (_Nest, ring index) or None
 
 
 def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
@@ -208,20 +277,27 @@ class _Tree:
         self.f_eval = f.fast_eval
         self.g_eval = _make_g_eval(G, self.geom)
         self.budget = budget
-        self.tol = 0.0  # set by run()
+        self.share = 0.0  # each nest's share of the tolerance, set by run()
         self.evals = 0
         self.leaves = {}  # key -> _Leaf
         self.heap = []  # (-defect, key) for refinable regular leaves
         self.sum_values = 0.0
         self.sum_defects = 0.0  # regular leaves only
-        self.anchors = [
-            _SingularAnchor(p, box)
-            for p in getattr(f, "singular_points", ())
-            if box.contains(p)
-        ]
-        self.chains = [_Chain() for _ in self.anchors]
-        self.ring_values = {}  # (anchor_idx, ring) -> float
-        self.ring_defects = {}
+        nests = self.nests = [_Nest(p, box) for p in getattr(f, "singular_points", ())
+                              if box.contains(p)]
+
+        # made per depth on first use; it closes over `nests`, not `self`, and
+        # a nest keeps its leaves' keys, so no reference cycle outlives a tree
+        @cache
+        def tagged(d):
+            """{indices: the first nest whose point the depth-d cell holds}"""
+            cells = {}
+            for nest in nests:
+                for js in nest.cells(d):
+                    cells.setdefault(js, nest)
+            return cells
+
+        self.tagged = tagged
 
     # -- evaluation helpers
 
@@ -245,20 +321,14 @@ class _Tree:
         trap = total / len(corners) * self.g_eval(key)
         return abs(trap - s1)
 
-    def _probe(self, key, test_anchors):
-        """(singular_index, s1) for a cell, one f evaluation.
+    def _probe(self, key, parent_tagged):
+        """(nest or None, s1) for a cell, one f evaluation.
 
-        A cell can contain an anchor only if its parent does, so the
-        anchors are tested only at the root and below singular cells.
+        A cell can hold a declared point only if its parent does, so the
+        nests are looked up only at the root and below tagged cells.
         """
-        singular = None
-        if test_anchors:
-            for i, a in enumerate(self.anchors):
-                if a.contained(key):
-                    singular = i
-                    break
-        tag = self.anchors[singular].floats if singular is not None \
-            else self.geom.center(key)
+        singular = self.tagged(key[0]).get(key[1]) if parent_tagged else None
+        tag = singular.floats if singular is not None else self.geom.center(key)
         self.evals += 1
         try:
             fv = self.f_eval(tag)
@@ -339,14 +409,16 @@ class _Tree:
         self.leaves[key] = leaf
         self.sum_values += value
         if leaf.singular is not None:
-            self.chains[leaf.singular].leaf_keys.add(key)
+            leaf.singular.keys.add(key)
         else:
             self.sum_defects += defect
             if ring is not None:
-                if ring not in self.ring_values:  # the first cell of a nest's next ring
-                    self.chains[ring[0]].ring_count += 1
-                self.ring_values[ring] = self.ring_values.get(ring, 0.0) + value
-                self.ring_defects[ring] = self.ring_defects.get(ring, 0.0) + defect
+                nest, r = ring
+                if r == len(nest.masses):  # the first cell of the nest's next ring
+                    nest.masses.append(0.0)
+                    nest.defects.append(0.0)
+                nest.masses[r] += value
+                nest.defects[r] += defect
             if key[0] < MAX_DEPTH and defect > 0.0:
                 heapq.heappush(self.heap, (-defect, key))
         return leaf
@@ -355,12 +427,13 @@ class _Tree:
         del self.leaves[leaf.key]
         self.sum_values -= leaf.value
         if leaf.singular is not None:
-            self.chains[leaf.singular].leaf_keys.discard(leaf.key)
+            leaf.singular.keys.remove(leaf.key)
         else:
             self.sum_defects -= leaf.defect
             if leaf.ring is not None:
-                self.ring_values[leaf.ring] -= leaf.value
-                self.ring_defects[leaf.ring] -= leaf.defect
+                nest, r = leaf.ring
+                nest.masses[r] -= leaf.value
+                nest.defects[r] -= leaf.defect
 
     def open_ring(self, leaf):
         """Drop `leaf` and return the ring its regular children join: its
@@ -369,7 +442,7 @@ class _Tree:
         self.drop_leaf(leaf)
         if leaf.singular is None:
             return leaf.ring
-        return leaf.singular, self.chains[leaf.singular].ring_count
+        return leaf.singular, len(leaf.singular.masses)
 
     def refine(self, leaf):
         m = 2**self.geom.dim
@@ -391,32 +464,28 @@ class _Tree:
         three levels down are slices, and the (key, singular, s1) caches
         that `refine` reads are built at `depth` only.
         """
-        geom, m = self.geom, 2**self.geom.dim
+        geom, m, tagged = self.geom, 2**self.geom.dim, self.tagged
         vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
-        sings = [{i: p[1] for i, p in enumerate(ps) if p[1] is not None}
-                 for ps in (root.l2, root.l3, root.l4)]
         level = [(root, 0)]  # the leaves in key order, with their indices
         for d in range(depth):
             if d + 1 == depth:  # the first convergence check's previous total
-                self.update_chains()
+                self.update_nests()
                 prev = self.total()[0]
-            (v1, v2, v3), (z1, z2, z3) = vals, sings
-            v4, z4 = [0.0] * (len(v3) * m), {}
+            v1, v2, v3 = vals
+            v4, tags = [0.0] * (len(v3) * m), tagged(d + 1)
             # one G value per level when G is the volume
             g = self.g_eval((d + 4, (0,) * geom.dim)) if self.g_eval == geom.volume else None
             below = []
             for leaf, o in level:
                 ring = self.open_ring(leaf)
                 for c, key in enumerate(geom.children(leaf.key), o * m):
-                    singular, s1 = z1.get(c), v1[c]
+                    singular, s1 = tags.get(key[1]), v1[c]
                     a, b = c * m**3, (c + 1) * m**3
                     if singular is None:
                         v4[a:b] = self._probe_block(key, g)
-                    else:  # anchors are tested below singular probes only
+                    else:
                         for p, hk in enumerate(geom.descendants(key, 3), a):
-                            s, v4[p] = self._probe(hk, p // m in z3)
-                            if s is not None:
-                                z4[p] = s
+                            v4[p] = self._probe(hk, True)[1]
                     s2 = fsum(v2[c * m:(c + 1) * m])
                     value, defect = self._estimate(
                         key, singular, s1, s2, fsum(v3[c * m * m:(c + 1) * m * m]),
@@ -424,127 +493,35 @@ class _Tree:
                     crng = None if singular is not None else ring
                     below.append((key, self.add_leaf(_Leaf(key, singular, s1, s2, value,
                                                            defect, None, None, None, crng)), c))
-            vals, sings = [v2, v3, v4], [z2, z3, z4]
+            vals = [v2, v3, v4]
             level = [(leaf, c) for _, leaf, c in sorted(below)]
         # the probe caches of the grid leaves, as slices of one list per level
         caches = []
-        for r, v, z in zip((1, 2, 3), vals, sings):
+        for r, v in zip((1, 2, 3), vals):
             probes = list(zip(geom.descendants(root.key, depth + r), itertools.repeat(None), v))
-            for p, s in z.items():
-                probes[p] = (probes[p][0], s, v[p])
+            for js, nest in tagged(depth + r).items():
+                p = geom.index(depth + r, js)
+                probes[p] = (probes[p][0], nest, v[p])
             caches.append((m**r, probes))
         for leaf, c in level:
             leaf.l2, leaf.l3, leaf.l4 = [ps[c * n:(c + 1) * n] for n, ps in caches]
         return prev
 
-    # -- chain state
-
-    def chain_leaves(self, idx):
-        return [self.leaves[k] for k in sorted(self.chains[idx].leaf_keys)]
-
-    def update_chains(self):
-        # The remaining mass inside a nest is extrapolated geometrically
-        # only when the last three ring masses show a consistent ratio;
-        # otherwise (oscillating phases can make a single ring mass tiny
-        # by accident) the base defect is the window maximum of the
-        # masses.  Masses of rings that are themselves unresolved are
-        # meaningless, so the recent rings' own defects are added: the
-        # nest cannot claim precision its rings do not have yet.
-        for idx, chain in enumerate(self.chains):
-            R = chain.ring_count
-            raw = fsum([abs(lf.s1 - lf.s2) for lf in self.chain_leaves(idx)])
-            chain.correction = 0.0
-            recent = 0.0
-            for rr in (R - 1, R - 2):
-                if rr >= 0:
-                    recent += self.ring_defects.get((idx, rr), 0.0)
-            if R == 0:
-                chain.defect = raw
-                continue
-            if R == 1:
-                chain.defect = abs(self.ring_values[(idx, 0)]) + raw
-                continue
-            m1 = self.ring_values[(idx, R - 1)]
-            m0 = self.ring_values[(idx, R - 2)]
-            if R == 2:
-                chain.defect = abs(m1) + abs(m0) + 0.5 * recent
-                continue
-            m2 = self.ring_values[(idx, R - 3)]
-            r1 = m1 / m0 if m0 != 0.0 else math.inf
-            r2 = m0 / m2 if m2 != 0.0 else math.inf
-            if (
-                0.0 < r1 <= 0.95
-                and 0.0 < r2 <= 0.95
-                and 0.5 <= r1 / r2 <= 2.0
-            ):
-                chain.correction = m1 * r1 / (1.0 - r1)
-                chain.defect = abs(chain.correction) + 0.5 * recent
-            else:
-                # erratic (phase-cancelling) masses: bound the remaining
-                # tail by the mass envelope, its decay fitted over the
-                # last several rings (single ratios are phase noise)
-                rho = self._envelope_decay(idx, R)
-                peak = max(abs(m1), rho * abs(m0), rho * rho * abs(m2))
-                chain.defect = peak * rho / (1.0 - rho) + 0.5 * recent
-
-    def _envelope_decay(self, idx, R, window=6):
-        """Least-squares decay rate of log ring-mass over recent rings.
-
-        Clamped to [0.05, 0.9]; degenerates to the conservative end when
-        masses carry no usable trend.
-        """
-        ks, logs = [], []
-        for rr in range(max(0, R - window), R):
-            v = abs(self.ring_values.get((idx, rr), 0.0))
-            if v > 0.0:
-                ks.append(float(rr))
-                logs.append(math.log(v))
-        if len(ks) < 3:
-            return 0.9
-        n = len(ks)
-        mean_k = sum(ks) / n
-        mean_l = sum(logs) / n
-        var = sum((k - mean_k) ** 2 for k in ks)
-        if var == 0.0:
-            return 0.9
-        slope = sum((k - mean_k) * (l - mean_l) for k, l in zip(ks, logs)) / var
-        return min(0.9, max(0.05, math.exp(slope)))
-
-    def chain_blocked(self, idx):
-        """Do not deepen a nest while its last two rings are unresolved.
-
-        Resolution is judged absolutely, against the chain's tolerance
-        share: ring masses feed the remaining-tail estimate, so they must
-        be known to that precision before the nest peels another ring.
-        An unresolved ring's mass estimate is meaningless, and judging it
-        relative to itself would let nests race ahead on noise.
-        """
-        chain = self.chains[idx]
-        R = chain.ring_count
-        if R == 0:
-            return False
-        share = 0.25 * self.tol / max(1, len(self.chains))
-        for rr in (R - 1, R - 2):
-            if rr < 0:
-                continue
-            if self.ring_defects.get((idx, rr), 0.0) > 0.5 * share:
-                return True
-        return False
-
     # -- totals
 
-    def total(self):
-        correction = sum(c.correction for c in self.chains)
-        defect = self.sum_defects + sum(c.defect for c in self.chains)
-        return self.sum_values + correction, defect
+    def update_nests(self):
+        for nest in self.nests:
+            nest.update(self.leaves)
 
-    def max_leaf_depth(self):
-        return max((k[0] for k in self.leaves), default=0)
+    def total(self):
+        correction = sum(n.correction for n in self.nests)
+        defect = self.sum_defects + sum(n.defect for n in self.nests)
+        return self.sum_values + correction, defect
 
     # -- marking
 
     def select_marks(self):
-        """Worst regular leaves (within 4x of the max defect) + needy chains."""
+        """Worst regular leaves (within 4x of the max defect) + needy nests."""
         marks = []
         while self.heap:
             neg, key = self.heap[0]
@@ -556,15 +533,11 @@ class _Tree:
         max_defect = -self.heap[0][0] if self.heap else 0.0
         # a nest deepens only while its own uncertainty threatens the
         # tolerance; every extra ring multiplies the resolution bill
-        chain_share = 0.25 * self.tol / max(1, len(self.chains))
-        chain_marks = []
-        for idx, chain in enumerate(self.chains):
-            ripe = [lf for lf in self.chain_leaves(idx)
-                    if lf.key[0] < CHAIN_DEPTH_CAP]
-            if not ripe or self.chain_blocked(idx):
-                continue
-            if chain.defect >= chain_share:
-                chain_marks.extend(ripe)
+        nest_marks = []
+        for nest in self.nests:
+            ripe = [self.leaves[k] for k in sorted(nest.keys) if k[0] < CHAIN_DEPTH_CAP]
+            if ripe and not nest.blocked(self.share) and nest.defect >= self.share:
+                nest_marks.extend(ripe)
         threshold = 0.25 * max_defect
         while self.heap:
             neg, key = heapq.heappop(self.heap)
@@ -576,22 +549,16 @@ class _Tree:
                 break
             marks.append(leaf)
         marks.sort(key=lambda lf: lf.key)
-        return chain_marks + marks
-
-    def finalize_value(self):
-        total = fsum([lf.value for lf in self.leaves.values()])
-        for chain in self.chains:
-            total += chain.correction
-        return total
+        return nest_marks + marks
 
     def run(self, tol, min_depth=0):
-        self.tol = tol
+        self.share = 0.25 * tol / max(1, len(self.nests))
         root = self.make_leaf((0, (0,) * self.geom.dim))
         # an indefinite table forces a grid depth; each forced level is a
         # refinement round, so the first check below compares the sums over
         # the last two grid levels
         prev = self.force_grid(root, min_depth) if min_depth > 0 else None
-        self.update_chains()
+        self.update_nests()
 
         delta = math.inf
         second_look = False
@@ -616,15 +583,17 @@ class _Tree:
                     break
                 if leaf.key in self.leaves:
                     self.refine(leaf)
-            self.update_chains()
+            self.update_nests()
 
     def _result(self, defect, delta, converged):
-        err = defect + (delta if math.isfinite(delta) else 0.0)
+        value = fsum([lf.value for lf in self.leaves.values()])
+        for nest in self.nests:
+            value += nest.correction
         return IntegralResult(
-            value=self.finalize_value(),
-            error_estimate=err,
+            value=value,
+            error_estimate=defect + (delta if math.isfinite(delta) else 0.0),
             evaluations=self.evals,
-            max_depth=self.max_leaf_depth(),
+            max_depth=max(k[0] for k in self.leaves),
             converged=converged,
         )
 
@@ -692,10 +661,10 @@ def indefinite_hk(
     result = tree.run(tol, min_depth=depth)
 
     corrections = {}
-    for chain in tree.chains:
-        if chain.correction and chain.leaf_keys:
-            host = min(chain.leaf_keys)
-            corrections[host] = corrections.get(host, 0.0) + chain.correction
+    for nest in tree.nests:
+        if nest.correction and nest.keys:
+            host = min(nest.keys)
+            corrections[host] = corrections.get(host, 0.0) + nest.correction
 
     groups = {}
     for (d, js), leaf in tree.leaves.items():

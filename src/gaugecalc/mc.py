@@ -382,7 +382,6 @@ def combine_controls(
     F must be strictly increasing on the sampled domain.
     """
     phi = _as_control(phi)
-    psi_c = psi if isinstance(psi, ControlFunction1D) else None
     if mode == "sum_with_identity":
         psi = _as_control(psi, phi.domain)
         pf, qf = phi.fn, psi.fn

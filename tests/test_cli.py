@@ -264,6 +264,11 @@ ONE_LINE_ERRORS = [
     (["identity", "additivity", "--f", "x", "--c", "1e999"], 2),
     (["variation", "--box", "[-1e308,1e308]"], 2),
     (["verify-mc", "--F", "x", "--f", "1", "--box", '[["-1e999","1"]]'], 2),
+    # a column past 1024 members, a box width beyond the float range, and an
+    # additivity point that is not a number
+    (["mct", "--K", "99999999999999999999"], 2),
+    (["integrate", "--f", "x", "--box", "[-1e308,1e308]"], 2),
+    (["identity", "additivity", "--f", "x", "--b", "abc"], 2),
 ]
 
 
@@ -285,6 +290,21 @@ class TestErrors:
         code, out, err = run(["mct", "--K", "0"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("config error: --K 0:")
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (["mct", "--K", "99999999999999999999"], "--K 99999999999999999999:"),
+        (["mct", "--K", "1025"], "--K 1025:"),
+        (["variation", "--box", "[-1e308,1e308]"], "invalid box '[-1e308,1e308]':"),
+        (["integrate", "--f", "x", "--box", "[-1e308,1e308]"], "invalid box '[-1e308,1e308]':"),
+        (["identity", "additivity", "--f", "x", "--c", "1e999"], "--c '1e999':"),
+        (["identity", "additivity", "--f", "x", "--c", "1/0"], "--c '1/0':"),
+        (["identity", "additivity", "--f", "x", "--b", "abc"], "--b 'abc':"),
+        (["identity", "additivity", "--f", "x", "--a", "0,1"], "--a '0,1':"),
+    ])
+    def test_the_message_names_the_input(self, argv, prefix, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: " + prefix)
 
     def test_unread_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -400,7 +400,7 @@ class PerLeafTree(hk._Tree):
                              key=lambda lf: lf.key)
             if not shallow:
                 return prev
-            self.update_chains()
+            self.update_nests()
             prev = self.total()[0]
             for leaf in shallow:
                 self.refine(leaf)
@@ -438,21 +438,25 @@ def recorded(source, dim=1):
 
 
 def tree_state(tree, prev):
-    """Everything the adaptive phase reads, with floats as their bits."""
-    def probes(cache):
-        return None if cache is None else [(k, s, v.hex()) for k, s, v in cache]
+    """Everything the adaptive phase reads, with floats as their bits and
+    each nest as its index."""
+    def nest(n):
+        return None if n is None else tree.nests.index(n)
 
-    leaves = [(lf.key, lf.singular, lf.s1.hex(), lf.s2.hex(), lf.value.hex(),
-               lf.defect.hex(), lf.ring, probes(lf.l2), probes(lf.l3), probes(lf.l4))
+    def probes(cache):
+        return None if cache is None else [(k, nest(s), v.hex()) for k, s, v in cache]
+
+    leaves = [(lf.key, nest(lf.singular), lf.s1.hex(), lf.s2.hex(), lf.value.hex(),
+               lf.defect.hex(), lf.ring and (nest(lf.ring[0]), lf.ring[1]),
+               probes(lf.l2), probes(lf.l3), probes(lf.l4))
               for lf in tree.leaves.values()]
     live = sorted((neg, key) for neg, key in tree.heap if key in tree.leaves
                   and tree.leaves[key].singular is None and -neg == tree.leaves[key].defect)
-    tree.update_chains()
-    chains = [(c.ring_count, c.correction.hex(), c.defect.hex(), sorted(c.leaf_keys))
-              for c in tree.chains]
-    rings = [sorted((k, v.hex()) for k, v in d.items())
-             for d in (tree.ring_values, tree.ring_defects)]
-    return (None if prev is None else prev.hex(), tree.evals, leaves, live, chains, rings,
+    tree.update_nests()
+    nests = [(len(n.masses), n.correction.hex(), n.defect.hex(), sorted(n.keys))
+             for n in tree.nests]
+    rings = [([v.hex() for v in n.masses], [v.hex() for v in n.defects]) for n in tree.nests]
+    return (None if prev is None else prev.hex(), tree.evals, leaves, live, nests, rings,
             tree.sum_values.hex(), tree.sum_defects.hex())
 
 
@@ -551,10 +555,10 @@ def box_dict_table(f, G, box, depth, tol):
     tree = hk._Tree(f, G, box, hk.EVAL_BUDGET_DEFAULT)
     tree.run(tol, min_depth=depth)
     corrections = {}
-    for chain in tree.chains:
-        if chain.correction and chain.leaf_keys:
-            host = min(chain.leaf_keys)
-            corrections[host] = corrections.get(host, 0.0) + chain.correction
+    for nest in tree.nests:
+        if nest.correction and nest.keys:
+            host = min(nest.keys)
+            corrections[host] = corrections.get(host, 0.0) + nest.correction
     groups = {}
     for (d, js), leaf in tree.leaves.items():
         groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -197,19 +198,34 @@ class TestHkIntegrate:
         seen = []
         probe = tree._probe
 
-        def recording(key, test_anchors):
-            out = probe(key, test_anchors)
+        def recording(key, parent_tagged):
+            out = probe(key, parent_tagged)
             seen.append((key, out[0]))
             return out
+
+        def holds(a, key):  # exact closed-interval containment
+            d, (j,) = key
+            return j <= a * 2**d <= j + 1
+
+        def exact(key):
+            return next((i for i, a in enumerate(anchors) if holds(a, key)), None)
 
         tree._probe = recording
         tree.run(1e-6)
         for key, singular in seen:
-            exact = next((i for i, a in enumerate(tree.anchors)
-                          if a.contained(key)), None)
-            assert singular == exact, key
-        assert {s for _, s in seen} == {None, 0, 1}
+            assert (None if singular is None else tree.nests.index(singular)) == exact(key), key
+        assert {exact(k) for k, _ in seen} == {None, 0, 1}
         assert max(k[0] for k, s in seen if s is not None) > 53
+        # every depth the tree can reach, against the exact test around the
+        # point; past depth 53 the float of 1/3 lands in another cell
+        for a, nest in zip(anchors, tree.nests):
+            for d in range(hk.CHAIN_DEPTH_CAP + 4):
+                near = {(j,) for j in range(int(a * 2**d) - 2, int(a * 2**d) + 3)
+                        if 0 <= j < 2**d and holds(a, (d, (j,)))}
+                assert set(nest.cells(d)) == near, (a, d)
+        third = Fraction(1, 3)
+        assert any(math.floor(float(third) * 2**d) != math.floor(third * 2**d)
+                   for d in range(54, hk.CHAIN_DEPTH_CAP + 4))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -225,6 +241,79 @@ def test_anchors_in_every_depth_1_cell_do_not_converge_falsely():
     exact = sum(2 * math.sqrt(a) + 2 * math.sqrt(1 - a) for a in anchors)
     result = hk_integrate(f, LENGTH, Box.unit(), tol=1e-3)
     assert not result.converged or abs(result.value - exact) <= 1e-3
+
+
+def _inv_sqrt_gaps(anchors):
+    """sum |x - a|^(-1/2) over the anchors, declared singular there; 0 at an
+    anchor's float."""
+    floats = [float(a) for a in anchors]
+
+    def f(x):
+        gaps = [abs(x - a) for a in floats]
+        return 0.0 if 0.0 in gaps else sum(1.0 / math.sqrt(g) for g in gaps)
+
+    return PointFunction.from_callable(f, "inv_sqrt_gaps", singular_points=anchors)
+
+
+def _r_inv_sqrt(point):
+    """|p - point|^(-1/2) in 2-D, declared singular at `point`."""
+    cx, cy = map(float, point)
+
+    def f(p):
+        r2 = (p[0] - cx) ** 2 + (p[1] - cy) ** 2
+        return 0.0 if r2 == 0.0 else 1.0 / math.sqrt(math.sqrt(r2))
+
+    return PointFunction.from_callable(f, "r_inv_sqrt", dim=2, singular_points=(point,))
+
+
+def _nest_text(out) -> str:
+    """An `IntegralResult`, or a table and its run's result, bit for bit."""
+    table, result = (out, out.result) if hasattr(out, "result") else (None, out)
+    lines = [" ".join(str(v.hex() if isinstance(v, float) else v) for v in (
+        result.value, result.error_estimate, result.evaluations, result.max_depth,
+        result.converged))]
+    if table is not None:
+        lines += [f"{d} {cell} {v.hex()}" for d, cell, v in table.entries.by_depth()]
+    return "\n".join(lines)
+
+
+# sha256 of the runs of declared singular points, so a change to the nests
+# that should move no bit shows every bit it moves; the integrands call only
+# math.sqrt, which is correctly rounded, so no libm can move one
+NEST_DIGESTS = [
+    ("inv-sqrt-at-0", lambda: hk_integrate(
+        _inv_sqrt_gaps((Fraction(0),)), LENGTH, Box.unit(), tol=1e-6),
+     "1b14fe2fa39fc662d3cbd3661fa6bf380dc96c749061bd7a7f8fd94457ad2266"),
+    ("inv-sqrt-at-1/3", lambda: hk_integrate(
+        _inv_sqrt_gaps((Fraction(1, 3),)), LENGTH, Box.unit(), tol=1e-6),
+     "264e1c238c30a7f8ef3db70ab4092400d017b8a3012b029d0f47e9dcadd5c1c2"),
+    # nests at 1/4 and 1/3 share cells down to depth 3; this run probes
+    # past depth 53, where a float test would misplace 1/3
+    ("anchors-1/4-1/3", lambda: hk_integrate(
+        _inv_sqrt_gaps((Fraction(1, 4), Fraction(1, 3))), LENGTH, Box.unit(), tol=1e-6,
+        budget=20_000),
+     "5909005c6ce194dda0478fe3044aa4f75814d7abe5dab94e8019878e3687d39b"),
+    # a point on cuts of both axes: four tagged cells at every depth
+    ("2d-r^-1/2-on-a-cut", lambda: hk_integrate(
+        _r_inv_sqrt((Fraction(1, 2), Fraction(1, 4))), None, Box.unit(2), tol=1e-2),
+     "b0906b0fa65b57ba05bc4fc3a1408cdeacfbc56cccf02ad365d0f4dca7e82119"),
+    ("table-anchors-1/4-1/3", lambda: indefinite_hk(
+        _inv_sqrt_gaps((Fraction(1, 4), Fraction(1, 3))), None, Box.unit(), depth=5,
+        tol=1e-5),
+     "1548288dab51daa5c73f45bd55ee5369c3e3127c6501c1e5c3748d53164c8192"),
+    # a point at the centre: both depth-1 cells hold it, so the nest's defect
+    # is 0 at once and the run returns 0, converged (ROADMAP item 10's false
+    # convergence; the true value is 2*sqrt(2))
+    ("centre-1/2", lambda: hk_integrate(
+        _inv_sqrt_gaps((Fraction(1, 2),)), LENGTH, Box.unit(), tol=1e-6),
+     "62f76559d337b8fa81a21c70ea14ba5fcc6a4240eaaf11b71f67876ea8e7f972"),
+]
+
+
+@pytest.mark.parametrize("case,digest", [c[1:] for c in NEST_DIGESTS],
+                         ids=[c[0] for c in NEST_DIGESTS])
+def test_nest_runs_are_pinned(case, digest):
+    assert hashlib.sha256(_nest_text(case()).encode()).hexdigest() == digest
 
 
 class TestIndefinite:
