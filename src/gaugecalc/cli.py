@@ -479,6 +479,8 @@ def _validate(cfg: dict, command: str):
         raise ConfigError(f"depth must be in 0..{DP_DEPTH_CAP}, got {cfg['depth']}")
     if command == "mct" and cfg.get("K", 0) > MCT_K_MAX:
         raise ConfigError(f"--K {cfg['K']}: mct takes at most {MCT_K_MAX} members")
+    if cfg.get("direction") == "to-control" and not 1 <= cfg.get("K", 1) <= 1074:
+        raise ConfigError(f"--K {cfg['K']}: to-control takes 1 to 1074 gauges 2^-k (> 0)")
     for key in ("f", "F", "G", "phi"):
         if cfg.get(key) is not None:
             try:

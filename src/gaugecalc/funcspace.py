@@ -20,8 +20,10 @@ the exact additivity checks for corner-generated interval functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice, repeat
 from typing import Callable, Optional
 
 from .intervals import (Box, DyadicTable, Partition, as_point, as_rational, fsum,
@@ -175,6 +177,32 @@ def _eval(e: Expr, xs: tuple) -> float:
     if Fraction(xs[e.var]) < e.threshold:
         return _eval(e.then, xs)
     return _eval(e.other, xs)
+
+
+_BLOCK_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": math.pow, "sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs,
+              "log": math.log, "sqrt": math.sqrt}
+
+
+def _eval_block(e: Expr, cols: list):
+    """`_eval` node by node over columns: cols[i] holds variable i's values,
+    and a subtree without a variable is one float, repeated.  Raises where
+    `_eval` does, though not always at the first such point."""
+    if isinstance(e, Var):
+        return cols[e.index]
+    if not _max_var(e):
+        return repeat(_eval(e, ()))
+    if isinstance(e, Ite):  # each branch at the points that take it only
+        take = [Fraction(x) < e.threshold for x in cols[e.var]]
+        a, b = (iter(_eval_block(br, [list(compress(c, keep)) for c in cols])) if any(keep)
+                else None for br, keep in ((e.then, take), (e.other, [not t for t in take])))
+        return [next(a) if t else next(b) for t in take]
+    if isinstance(e, Fun):
+        return list(map(_BLOCK_OPS[e.name], _eval_block(e.arg, cols)))
+    a, b = _eval_block(e.left, cols), _eval_block(e.right, cols)
+    if e.op == "^" and any(x == 0.0 and y < 0.0 for x, y in zip(a, b)):  # pow(0, -inf) is inf
+        raise EvalDomainError("zero base with negative exponent", e)
+    return list(map(_BLOCK_OPS[e.op], a, b))
 
 
 def _eval_exact(e: Expr, point: tuple) -> Optional[Fraction]:
@@ -432,6 +460,12 @@ class PointFunction:
 
     `singular_points` lists points where a builtin's value is declared
     rather than computed; the integrator pins tags there.
+
+    `fast_eval` takes a tuple of floats.  `eval_block` takes a list of them
+    and gives the same floats.  An expression, which is pure, evaluates a
+    block in one walk of its tree, column by column, and goes tag by tag
+    only where that raises, so it raises the first failure in tag order.
+    Any other function maps `fast_eval` over the tags.
     """
 
     def __init__(
@@ -512,6 +546,18 @@ class PointFunction:
 
     def __call__(self, point) -> float:
         return float(self.fn(as_point(point)))
+
+    def eval_block(self, tags, out=None) -> list:
+        """fast_eval at each tag in order, appended to `out` (default: a new
+        list), which after a failure holds the values before the failing tag."""
+        out, vals = [] if out is None else out, None
+        if self.expr is not None and tags:
+            try:
+                vals = _eval_block(self.expr, list(zip(*tags)))
+            except (ValueError, ArithmeticError):
+                pass  # mapping fast_eval raises the first failure in tag order
+        out.extend(map(self.fast_eval, tags) if vals is None else islice(vals, len(tags)))
+        return out
 
     def eval_exact(self, point) -> Optional[Fraction]:
         point = as_point(point)

@@ -28,12 +28,13 @@ interior-tag rule provably stalls.
 A run stops when the summed defects and the change between two successive
 global sums are both below tol/2.  An indefinite table first refines every
 leaf down to its grid depth, known up front, so it goes a whole level at a
-time: the level's new probes go into one flat float list (centers over an
-index range, one G value per level when G is the volume), with the f
-calls, leaf values and running sums of refining leaf by leaf, in the same
-order.  These forced grid levels count as refinement rounds, so a table
-whose grid already meets tol stops at its grid depth; past it, the
-adaptive phase refines leaf by leaf.
+time: f takes the level's new probes in one `PointFunction.eval_block`
+call, into one flat float list, with one G value per level when G is the
+volume.  The probes, leaves and running sums are those of refining leaf by
+leaf, and in the same order, except the edge-gap corners, which come after
+the level's probes.  These forced grid levels count as refinement rounds,
+so a table whose grid already meets tol stops at its grid depth; past it,
+the adaptive phase refines leaf by leaf.
 
 The tree, the table assembly and the delta-variation DP key their cells
 (depth, integer indices) on an `intervals.DyadicGrid`, the one index of
@@ -52,7 +53,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Callable, Optional
 
@@ -91,16 +92,7 @@ class IntegralResult:
     converged: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "error_estimate": self.error_estimate,
-                "evaluations": self.evaluations,
-                "max_depth": self.max_depth,
-                "converged": self.converged,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def riemann_sum(f, G: IntervalFunction, tagged) -> float:
@@ -274,7 +266,7 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
 class _Tree:
     def __init__(self, f: PointFunction, G: IntervalFunction, box: Box, budget):
         self.geom = DyadicGrid(box, CHAIN_DEPTH_CAP + 3)  # probes: 3 levels below a leaf
-        self.f_eval = f.fast_eval
+        self.f_eval, self.f_block = f.fast_eval, f.eval_block
         self.g_eval = _make_g_eval(G, self.geom)
         self.budget = budget
         self.share = 0.0  # each nest's share of the tolerance, set by run()
@@ -336,21 +328,26 @@ class _Tree:
             raise TagEvalError(tag, self.geom.cell(*key), e) from e
         return singular, fv * self.g_eval(key)
 
-    def _probe_block(self, key, g):
-        """s1 of the regular probes three levels below `key`, in nested
-        order; `g` is their G value when G is the volume, else None."""
-        tags = self.geom.centers(key, 3)
+    def _probe_level(self, cells, v4, g):
+        """s1 of the probes three levels below each cell (c, key, nest) of
+        `cells` into v4, at c's slice in nested order, with f evaluated as
+        one block; `g` is their G value when G is the volume, else None."""
+        geom, n, tags = self.geom, 8**self.geom.dim, []
+        for _, key, nest in cells:  # only a tagged cell can hold tagged cells
+            nests = nest and self.tagged(key[0] + 3)
+            tags += [nests[k[1]].floats if k[1] in nests else geom.center(k) for k in
+                     geom.descendants(key, 3)] if nests else geom.centers(key, 3)
         self.evals += len(tags)
         fvals = []
         try:
-            fvals.extend(map(self.f_eval, tags))  # keeps the values before a failure
+            self.f_block(tags, fvals)
         except (ValueError, ArithmeticError) as e:
             bad = len(fvals)
-            cell = self.geom.cell(*self.geom.descendants(key, 3)[bad])
+            cell = geom.cell(*geom.descendants(cells[bad // n][1], 3)[bad % n])
             raise TagEvalError(tags[bad], cell, e) from e
-        if g is not None:
-            return [fv * g for fv in fvals]
-        return [fv * self.g_eval(k) for fv, k in zip(fvals, self.geom.descendants(key, 3))]
+        for i, (c, key, _) in enumerate(cells):
+            gs = [g] * n if g is not None else map(self.g_eval, geom.descendants(key, 3))
+            v4[c * n:(c + 1) * n] = [fv * gv for fv, gv in zip(fvals[i * n:(i + 1) * n], gs)]
 
     # -- leaf management
 
@@ -457,12 +454,14 @@ class _Tree:
         """Refine every leaf, level by level, from `root` down to `depth`;
         returns the total before the last level.
 
-        The f calls, leaves, rings and running sums are those of refining
-        each level's leaves in key order, but the probes go into one flat
-        float list per level.  A probe's index there is its cell's position
-        in nested order below the root, so a leaf's probes one, two and
-        three levels down are slices, and the (key, singular, s1) caches
-        that `refine` reads are built at `depth` only.
+        The leaves, rings and running sums are those of refining each
+        level's leaves in key order, and f sees the same tags in the same
+        order, except that a level's probes are one `eval_block` call made
+        before its leaves, so their edge-gap corners come after it.  The
+        probes go into one flat float list per level, at their cells'
+        positions in nested order below the root, so a leaf's probes one,
+        two and three levels down are slices, and the (key, singular, s1)
+        caches that `refine` reads are built at `depth` only.
         """
         geom, m, tagged = self.geom, 2**self.geom.dim, self.tagged
         vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
@@ -475,21 +474,17 @@ class _Tree:
             v4, tags = [0.0] * (len(v3) * m), tagged(d + 1)
             # one G value per level when G is the volume
             g = self.g_eval((d + 4, (0,) * geom.dim)) if self.g_eval == geom.volume else None
+            kids = [(leaf, [(c, key, tags.get(key[1])) for c, key in
+                            enumerate(geom.children(leaf.key), o * m)]) for leaf, o in level]
+            self._probe_level([cell for _, cells in kids for cell in cells], v4, g)
             below = []
-            for leaf, o in level:
+            for leaf, cells in kids:
                 ring = self.open_ring(leaf)
-                for c, key in enumerate(geom.children(leaf.key), o * m):
-                    singular, s1 = tags.get(key[1]), v1[c]
-                    a, b = c * m**3, (c + 1) * m**3
-                    if singular is None:
-                        v4[a:b] = self._probe_block(key, g)
-                    else:
-                        for p, hk in enumerate(geom.descendants(key, 3), a):
-                            v4[p] = self._probe(hk, True)[1]
-                    s2 = fsum(v2[c * m:(c + 1) * m])
+                for c, key, singular in cells:
+                    s1, s2 = v1[c], fsum(v2[c * m:(c + 1) * m])
                     value, defect = self._estimate(
                         key, singular, s1, s2, fsum(v3[c * m * m:(c + 1) * m * m]),
-                        fsum(v4[a:b]))
+                        fsum(v4[c * m**3:(c + 1) * m**3]))
                     crng = None if singular is not None else ring
                     below.append((key, self.add_leaf(_Leaf(key, singular, s1, s2, value,
                                                            defect, None, None, None, crng)), c))

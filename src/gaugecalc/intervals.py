@@ -42,9 +42,7 @@ class GaugeBudgetError(RuntimeError):
     def __init__(self, cell: "Box", depth: int):
         self.cell = cell
         self.depth = depth
-        super().__init__(
-            f"no admissible tag found above depth {depth} inside {cell}"
-        )
+        super().__init__(f"no admissible tag found above depth {depth} inside {cell}")
 
 
 def as_rational(value) -> Fraction:
@@ -55,9 +53,7 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -108,10 +104,7 @@ class Box:
     @classmethod
     def of(cls, *axes) -> "Box":
         """Box.of((0, 1), ("1/3", "2/3")) -> exact 2-D box."""
-        pairs = []
-        for lo, hi in axes:
-            pairs.append((as_rational(lo), as_rational(hi)))
-        return cls(tuple(pairs))
+        return cls(tuple((as_rational(lo), as_rational(hi)) for lo, hi in axes))
 
     @classmethod
     def unit(cls, dim: int = 1) -> "Box":
@@ -196,9 +189,7 @@ class Box:
 
     def _check_dim(self, other: "Box"):
         if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"boxes of dim {self.dim} and {other.dim}"
-            )
+            raise DimensionMismatchError(f"boxes of dim {self.dim} and {other.dim}")
 
     def to_json(self) -> list:
         return [[str(lo), str(hi)] for lo, hi in self.intervals]
@@ -261,9 +252,7 @@ def is_partition(parent: Box, cells: Sequence[Box]) -> PartitionReport:
     """Exact check that `cells` tile `parent` without interior overlap."""
     for c in cells:
         if c.dim != parent.dim:
-            raise DimensionMismatchError(
-                f"cell of dim {c.dim} under parent of dim {parent.dim}"
-            )
+            raise DimensionMismatchError(f"cell of dim {c.dim} under parent of dim {parent.dim}")
     if not cells:
         return PartitionReport(False, "gap", parent.center, "no cells")
     for c in cells:
@@ -277,13 +266,8 @@ def is_partition(parent: Box, cells: Sequence[Box]) -> PartitionReport:
             )
     covered = sum((c.volume for c in cells), Fraction(0))
     if covered != parent.volume:
-        witness = _grid_witness(parent, cells, "gap")
-        return PartitionReport(
-            False,
-            "gap",
-            witness,
-            f"cells cover volume {covered} of {parent.volume}",
-        )
+        return PartitionReport(False, "gap", _grid_witness(parent, cells, "gap"),
+                               f"cells cover volume {covered} of {parent.volume}")
     return PartitionReport(True)
 
 
@@ -339,11 +323,7 @@ class TaggedPartition:
 
     def fineness_violations(self, gauge: "Gauge") -> list:
         """Cells failing diam Q < delta(tag); exact comparison."""
-        bad = []
-        for cell, tag in self.items:
-            if not _diam_lt(cell, gauge(tag)):
-                bad.append((cell, tag))
-        return bad
+        return [(cell, tag) for cell, tag in self.items if not _diam_lt(cell, gauge(tag))]
 
     def __iter__(self):
         return iter(self.items)

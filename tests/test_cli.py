@@ -269,6 +269,8 @@ ONE_LINE_ERRORS = [
     (["mct", "--K", "99999999999999999999"], 2),
     (["integrate", "--f", "x", "--box", "[-1e308,1e308]"], 2),
     (["identity", "additivity", "--f", "x", "--b", "abc"], 2),
+    # 2.0**-K underflows to 0 from K = 1075
+    (["convert", "--direction", "to-control", "--K", "2000"], 2),
 ]
 
 
@@ -300,6 +302,8 @@ class TestErrors:
         (["identity", "additivity", "--f", "x", "--c", "1/0"], "--c '1/0':"),
         (["identity", "additivity", "--f", "x", "--b", "abc"], "--b 'abc':"),
         (["identity", "additivity", "--f", "x", "--a", "0,1"], "--a '0,1':"),
+        (["convert", "--direction", "to-control", "--K", "0"], "--K 0:"),
+        (["convert", "--direction", "to-control", "--K", "2000"], "--K 2000:"),
     ])
     def test_the_message_names_the_input(self, argv, prefix, capsys):
         code, out, err = run(argv, capsys)

@@ -391,10 +391,24 @@ def test_the_gauge_cases_reach_every_outcome(name):
 class PerLeafTree(hk._Tree):
     """The forced grid as `_Tree.run` walked it before `_Tree.force_grid`: every
     leaf above `depth` refined in key order, level after level, through
-    `refine` and `make_leaf`, one probe at a time."""
+    `refine` and `make_leaf`, one probe at a time.
+
+    One order differs, and the log of `recorded` is rearranged to match:
+    `_Tree.force_grid` evaluates a level's edge-gap corners after all of
+    that level's probes, not after each leaf's."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.corners = set()  # positions of edge-gap calls in the log
+
+    def _edge_gap(self, key, s1, s2):
+        start = len(self.f_eval.calls)
+        gap = super()._edge_gap(key, s1, s2)
+        self.corners.update(range(start, len(self.f_eval.calls)))
+        return gap
 
     def force_grid(self, root, depth):
-        prev = None
+        prev, log = None, self.f_eval.calls
         while True:
             shallow = sorted((lf for lf in self.leaves.values() if lf.key[0] < depth),
                              key=lambda lf: lf.key)
@@ -402,8 +416,12 @@ class PerLeafTree(hk._Tree):
                 return prev
             self.update_nests()
             prev = self.total()[0]
+            start = len(log)
             for leaf in shallow:
                 self.refine(leaf)
+            level = range(start, len(log))
+            log[start:] = ([log[i] for i in level if i not in self.corners]
+                           + [log[i] for i in level if i in self.corners])
 
 
 def peak(x):
@@ -425,15 +443,23 @@ ANCHORED = {
 
 
 def recorded(source, dim=1):
-    """A point function that logs every tag the tree evaluates it at."""
+    """A point function that logs every tag the tree evaluates it at: each
+    `fast_eval` call, and each tag of an expression's `eval_block` (any
+    other function's block maps `fast_eval`, so its calls log themselves)."""
     f = ANCHORED[source]() if source in ANCHORED else PointFunction.resolve(source, dim)
-    calls, fast = [], f.fast_eval
+    calls, fast, block = [], f.fast_eval, f.eval_block
 
     def logged(xs):
         calls.append(xs)
         return fast(xs)
 
-    f.fast_eval = logged
+    def logged_block(tags, out=None):
+        calls.extend(tags)
+        return block(tags, out)
+
+    f.fast_eval, logged.calls = logged, calls
+    if f.expr is not None:
+        f.eval_block = logged_block
     return f, calls
 
 

@@ -1,8 +1,9 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugecalc import (
@@ -129,6 +130,90 @@ def test_printer_parse_print_parse_is_parse(expr):
     printed = to_text(once)
     assert parse(printed) == once
     assert to_text(parse(printed)) == printed
+
+
+def _block_exprs(depth, dim):
+    """Expressions with every node kind, whose values and failures at
+    extreme inputs exercise each of `_eval`'s checks."""
+    leaf = st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=8).map(Num),
+        st.sampled_from([Num(Fraction(10**400)), Num(Fraction(1, 3))]),
+        st.integers(min_value=0, max_value=dim - 1).map(Var),
+    )
+    if depth == 0:
+        return leaf
+    sub = _block_exprs(depth - 1, dim)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: Bin(*t)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "abs", "log", "sqrt"]),
+                  sub).map(lambda t: Fun(*t)),
+        st.tuples(st.integers(min_value=0, max_value=dim - 1),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                  sub, sub).map(lambda t: Ite(*t)),
+    )
+
+
+_BLOCK_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 0.5, 1e300]),
+    st.floats(min_value=-3, max_value=3),
+    st.floats(),
+)
+
+
+@st.composite
+def _block_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    tags = st.lists(st.tuples(*[_BLOCK_FLOATS] * dim), max_size=12)
+    return draw(_block_exprs(4, dim)), dim, draw(tags)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_block_cases())
+# math.pow(0, -inf) is inf, where `_eval` raises
+@example((Bin("^", Num(Fraction(0)), Var(0)), 1, [(1.0,), (-math.inf,)]))
+# a branch that fails where no tag takes it
+@example((Ite(1, Fraction(1), Var(0), Num(Fraction(10**400))), 2, [(0.5, -0.0)]))
+def test_eval_block_is_the_per_point_loop(case):
+    expr, dim, tags = case
+    f = PointFunction.from_expr(expr, dim=dim)
+    expected, first_error = [], None
+    for t in tags:
+        try:
+            expected.append(f.fast_eval(t))
+        except (ValueError, ArithmeticError) as e:
+            first_error = e
+            break
+    out = []
+    if first_error is None:
+        assert _bits(f.eval_block(tags, out)) == _bits(expected)
+    else:
+        with pytest.raises(type(first_error)) as err:
+            f.eval_block(tags, out)
+        assert str(err.value) == str(first_error)
+    # after a failure, the values of the tags before it
+    assert _bits(out) == _bits(expected)
+
+
+def test_eval_block_maps_a_callable_in_tag_order():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        if x < 0.0:
+            raise ValueError(f"negative {x}")
+        return 2.0 * x
+
+    f = PointFunction.from_callable(fn, "fn")
+    assert f.eval_block([(1.0,), (3.0,)]) == [2.0, 6.0]
+    out = [9.0]
+    with pytest.raises(ValueError, match="negative -1.0"):
+        f.eval_block([(0.5,), (-1.0,), (2.0,)], out)
+    assert out == [9.0, 1.0] and calls == [1.0, 3.0, 0.5, -1.0]
 
 
 class TestEval:
