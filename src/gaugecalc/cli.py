@@ -249,20 +249,18 @@ def run_convert(cfg) -> int:
         _emit(cfg, rows, {"samples": {repr(k[0]): v for k, v in
                                       sorted(gauge.sample_values.items())}})
         return 0
-    if direction == "to-control":
-        K = cfg.get("K", 6)
-        psi = residual_cell_fn(f, G, table)
-        gauges = [Gauge.constant(2.0**-k) for k in range(1, K + 1)]
-        try:
-            phi = control_from_gauges(psi, gauges, box, depth)
-        except CertificationError as e:
-            print(f"certification failed: {e}", file=sys.stderr)
-            return CHECK_FAILED
-        cells = {str(cell): v for _, cell, v in phi.entries.by_depth()}
-        _emit(cfg, [["cell", "phi"]] + [[c, repr(v)] for c, v in cells.items()],
-              {"cells": cells})
-        return 0
-    raise ConfigError(f"unknown direction {direction!r}")
+    K = cfg.get("K", 6)
+    psi = residual_cell_fn(f, G, table)
+    gauges = [Gauge.constant(2.0**-k) for k in range(1, K + 1)]
+    try:
+        phi = control_from_gauges(psi, gauges, box, depth)
+    except CertificationError as e:
+        print(f"certification failed: {e}", file=sys.stderr)
+        return CHECK_FAILED
+    cells = {str(cell): v for _, cell, v in phi.entries.by_depth()}
+    _emit(cfg, [["cell", "phi"]] + [[c, repr(v)] for c, v in cells.items()],
+          {"cells": cells})
+    return 0
 
 
 IDENTITY_PRESETS = {
@@ -328,26 +326,24 @@ def run_identity(cfg) -> int:
         _emit(cfg, rows, {"precondition_ok": verdict.precondition_ok,
                           "passed": verdict.passed})
         return 0 if verdict.passed else CHECK_FAILED
-    if kind == "constancy":
-        depth = cfg.get("depth", 6)
-        if depth < 1:
-            raise ConfigError(f"--depth {depth}: constancy needs depth >= 1 "
-                              "(F2 is based at the box midpoint)")
-        box = _parse_box(cfg.get("box", "[0,1]"))
-        lo, hi = _endpoints(box)
-        f = PointFunction.resolve(cfg.get("f", "2*x"))
-        table = indefinite_hk(f, None, box, depth=depth, tol=cfg.get("tol", 1e-9))
-        F1 = cumulative(table, lo)
-        F2 = cumulative(table, (lo + hi) / 2)
-        n = 2**depth
-        grid = [lo + (hi - lo) * Fraction(i, n) for i in range(n + 1)]
-        report = constancy_check(F1, F2, grid)
-        rows = [["deviation", "constant"],
-                [repr(report.deviation), repr(report.constant)]]
-        _emit(cfg, rows, {"deviation": report.deviation,
-                          "constant": report.constant})
-        return 0 if report.deviation <= cfg.get("dev_tol", 1e-6) else CHECK_FAILED
-    raise ConfigError(f"unknown identity kind {kind!r}")
+    depth = cfg.get("depth", 6)
+    if depth < 1:
+        raise ConfigError(f"--depth {depth}: constancy needs depth >= 1 "
+                          "(F2 is based at the box midpoint)")
+    box = _parse_box(cfg.get("box", "[0,1]"))
+    lo, hi = _endpoints(box)
+    f = PointFunction.resolve(cfg.get("f", "2*x"))
+    table = indefinite_hk(f, None, box, depth=depth, tol=cfg.get("tol", 1e-9))
+    F1 = cumulative(table, lo)
+    F2 = cumulative(table, (lo + hi) / 2)
+    n = 2**depth
+    grid = [lo + (hi - lo) * Fraction(i, n) for i in range(n + 1)]
+    report = constancy_check(F1, F2, grid)
+    rows = [["deviation", "constant"],
+            [repr(report.deviation), repr(report.constant)]]
+    _emit(cfg, rows, {"deviation": report.deviation,
+                      "constant": report.constant})
+    return 0 if report.deviation <= cfg.get("dev_tol", 1e-6) else CHECK_FAILED
 
 
 def _mct_family(preset: str, K: int):
@@ -419,6 +415,8 @@ _FLAG_TYPES = {
     "psi_p": float, "dev_tol": float,
     "budget": int, "depth": int, "samples": int, "K": int,
 }
+# config keys whose value is text, as their flags give it
+_TEXT = ("f", "F", "G", "phi", "preset", "out")
 _CHOICES = {
     "kind": ("parts", "change", "additivity", "monotone", "constancy"),
     "direction": ("to-gauge", "to-control"),
@@ -464,6 +462,12 @@ def _load_config(path: str) -> dict:
 
 def _validate(cfg: dict, command: str):
     """Check cfg in place; a config value takes the type of its flag."""
+    for key in _TEXT:
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
+    for key, choices in _CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {cfg[key]!r}")
     for key, kind in _FLAG_TYPES.items():
         if key not in cfg:
             continue
@@ -482,7 +486,7 @@ def _validate(cfg: dict, command: str):
     if cfg.get("direction") == "to-control" and not 1 <= cfg.get("K", 1) <= 1074:
         raise ConfigError(f"--K {cfg['K']}: to-control takes 1 to 1074 gauges 2^-k (> 0)")
     for key in ("f", "F", "G", "phi"):
-        if cfg.get(key) is not None:
+        if key in cfg:
             try:
                 if key == "G":
                     IntervalFunction.resolve(cfg[key], 1)

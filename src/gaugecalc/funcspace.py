@@ -1,4 +1,6 @@
-"""Expression mini-language, point functions, and interval functions.
+"""Expression mini-language, point functions, and the box functions: the
+interval functions (integrators and indefinite integrals) and the
+superadditive controls.
 
 Grammar (no implicit multiplication, '^' binds tightest):
 
@@ -14,7 +16,12 @@ when division is meant next to an exponent.  VAR is x or x1..x9.
 
 Evaluation is IEEE double.  An exact-rational evaluation path exists for
 expressions built from rational literals and +,-,*,/,^int,abs,ite; it backs
-the exact additivity checks for corner-generated interval functions.
+the exact additivity checks for corner-generated interval functions.  The
+builtin `heaviside_c` is the expression ite(x<c,0,1), so it has both paths.
+
+`IntervalFunction` and `SuperadditiveFn` share one base: a table on the
+dyadic cells of a box, its lookup, and `on_grid`, which reads a function
+on the cells of a `DyadicGrid` by index.  Each class adds its own kinds.
 """
 
 from __future__ import annotations
@@ -514,17 +521,13 @@ class PointFunction:
 
     @classmethod
     def builtin(cls, name: str) -> "PointFunction":
-        if name == "hk_primitive":
-            return cls(lambda p: _hk_primitive(float(p[0])), name, singular_points=(0,))
-        if name == "hk_derivative":
-            return cls(lambda p: _hk_derivative(float(p[0])), name, singular_points=(0,))
-        if name == "inv_sqrt":
-            return cls(lambda p: _inv_sqrt(float(p[0])), name, singular_points=(0,))
-        if name.startswith("heaviside_"):
-            c = Fraction(name[len("heaviside_") :])
-            fn = _heaviside(c)
-            pf = cls(fn, name)
-            pf.heaviside_threshold = c
+        if name in _BUILTINS:  # declared, not computed, at the singular point 0
+            fn = _BUILTINS[name]
+            return cls(lambda p: fn(float(p[0])), name, singular_points=(0,))
+        if name.startswith("heaviside_"):  # ite(x<c,0,1)
+            pf = cls.from_expr(Ite(0, Fraction(name[len("heaviside_") :]), Num(Fraction(0)),
+                                   Num(Fraction(1))))
+            pf.name = name
             return pf
         raise ValueError(f"unknown builtin {name!r}")
 
@@ -534,8 +537,7 @@ class PointFunction:
         if isinstance(source, PointFunction):
             return source
         if isinstance(source, str):
-            if source == "hk_primitive" or source == "hk_derivative" \
-                    or source == "inv_sqrt" or source.startswith("heaviside_"):
+            if source in _BUILTINS or source.startswith("heaviside_"):
                 return cls.builtin(source)
             return cls.from_expr(source, dim=dim)
         if isinstance(source, Expr):
@@ -560,13 +562,7 @@ class PointFunction:
         return out
 
     def eval_exact(self, point) -> Optional[Fraction]:
-        point = as_point(point)
-        if self.expr is not None:
-            return self.expr.eval_exact(point)
-        c = getattr(self, "heaviside_threshold", None)
-        if c is not None:
-            return Fraction(0) if point[0] < c else Fraction(1)
-        return None
+        return None if self.expr is None else self.expr.eval_exact(point)
 
     def __repr__(self):
         return f"PointFunction({self.name})"
@@ -604,11 +600,8 @@ def _inv_sqrt(x: float) -> float:
     return x**-0.5
 
 
-def _heaviside(c: Fraction):
-    def fn(point):
-        return 0.0 if point[0] < c else 1.0
-
-    return fn
+_BUILTINS = {"hk_primitive": _hk_primitive, "hk_derivative": _hk_derivative,
+             "inv_sqrt": _inv_sqrt}
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +613,77 @@ def _corner_sign(corner, box: Box) -> int:
     return -1 if lows % 2 else 1
 
 
-class IntervalFunction:
-    """Box -> real map: corner-generated (exactly additive) or table-backed.
+class _BoxFunction:
+    """What an interval function and a control share: a `kind` and its data,
+    the table on dyadic cells, and the reader by cell index (`on_grid`).  A
+    subclass gives the formulas of its other kinds (`_formula`,
+    `value_exact`) and sets `positive` if its values must be > 0."""
+
+    positive = False
+
+    def __init__(self, kind: str, **data):
+        self.kind = kind
+        self.__dict__.update(data)
+
+    @classmethod
+    def table(cls, entries, parent: Box, depth: int, *, name: str = "table"):
+        """A table of values on the dyadic cells of `parent` to `depth`:
+        `entries` is an `intervals.DyadicTable` (one float list per depth,
+        iterated by depth, then lexicographically), given as one or as a
+        Box-keyed dict of such cells."""
+        return cls("table", entries=DyadicTable.of(entries, parent, depth), parent=parent,
+                   depth=depth, dim=parent.dim, name=name)
+
+    def value(self, box: Box) -> float:
+        if self.kind != "table":
+            v = self._formula(box)
+        else:
+            try:
+                v = self.entries[box]
+            except KeyError:
+                raise KeyError(f"{box} not in {self.name} (depth {self.depth})") from None
+        if self.positive and not v > 0.0:
+            raise ValueError(f"{self.name} is {v} on {box}; controls must be > 0")
+        return v
+
+    def on_grid(self, grid) -> Callable:
+        """read(d, js) = self.value(Q) on the cell Q = (d, js) of `grid`, read
+        by index where no Box is needed: a table on the grid's box, and the
+        volume or c |Q|^p from the exact cell volume, one per depth.  Else,
+        and where a table has no value or a control is not > 0, on the
+        cell's Box, which raises the function's own error."""
+        if self.kind == "volume":
+            return lambda d, js: grid.cell_volume(d)
+        if self.kind == "table" and self.entries.grid.box == grid.box:
+            raw = self.entries.at
+        elif self.kind == "volume_power":
+            c, p = float(self.coeff), float(self.p)
+            raw = lambda d, js: c * grid.cell_volume(d) ** p
+        else:
+            return lambda d, js: self.value(grid.cell(d, js))
+        positive, cell = self.positive, grid.cell
+
+        def read(d, js):
+            v = raw(d, js)
+            return v if v is not None and (v > 0.0 or not positive) else self.value(cell(d, js))
+
+        return read
+
+    def __call__(self, box: Box) -> float:
+        return self.value(box)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name})"
+
+
+class IntervalFunction(_BoxFunction):
+    """Box -> real map: the volume, corner-generated (exactly additive) or
+    table-backed.
 
     A corner generator g induces G(Q) = sum over corners of Q of
     (-1)^(#lo-coordinates) * g(corner), the n-dimensional increment;
     in one dimension this is G([a,b]) = g(b) - g(a).
     """
-
-    def __init__(self, kind: str, **data):
-        self.kind = kind  # 'corner' | 'table'
-        self.__dict__.update(data)
 
     @classmethod
     def resolve(cls, G, dim: int) -> "IntervalFunction":
@@ -644,65 +697,29 @@ class IntervalFunction:
     @classmethod
     def from_generator(cls, g) -> "IntervalFunction":
         g = PointFunction.resolve(g)
-        return cls("corner", generator=g, name=f"corner({g.name})")
+        return cls("corner", generator=g, dim=g.dim, name=f"corner({g.name})")
 
     @classmethod
     def length(cls) -> "IntervalFunction":
-        g = cls.from_generator(PointFunction.from_expr("x"))
-        g._volume_fast = True
-        return g
+        return cls.volume(1)
 
     @classmethod
     def volume(cls, dim: int) -> "IntervalFunction":
-        if dim == 1:
-            return cls.length()
-        text = "*".join(f"x{i + 1}" for i in range(dim))
-        g = cls.from_generator(PointFunction.from_expr(text, dim=dim))
-        g._volume_fast = True
-        return g
+        return cls("volume", dim=dim, name="volume")
 
     @classmethod
     def heaviside(cls, c) -> "IntervalFunction":
         return cls.from_generator(PointFunction.builtin(f"heaviside_{as_rational(c)}"))
 
-    @classmethod
-    def table(
-        cls,
-        entries: dict,
-        parent: Box,
-        depth: int,
-        tolerance: float,
-        name: str = "table",
-    ) -> "IntervalFunction":
-        """A table of values on the dyadic cells of `parent` to `depth`:
-        `entries` is an `intervals.DyadicTable` (one float list per depth,
-        iterated by depth, then lexicographically), given as one or as a
-        Box-keyed dict of such cells."""
-        return cls(
-            "table",
-            entries=DyadicTable.of(entries, parent, depth),
-            parent=parent,
-            depth=depth,
-            tolerance=tolerance,
-            name=name,
-        )
-
-    def value(self, box: Box) -> float:
-        if self.kind == "corner":
-            if getattr(self, "_volume_fast", False):
-                return float(box.volume)
-            return fsum([
-                _corner_sign(corner, box) * self.generator(corner)
-                for corner in box.corners()
-            ])
-        try:
-            return self.entries[box]
-        except KeyError:
-            raise KeyError(f"{box} not in {self.name} (depth {self.depth})") from None
+    def _formula(self, box: Box) -> float:
+        if self.kind == "volume":
+            return float(box.volume)
+        return fsum([_corner_sign(corner, box) * self.generator(corner)
+                     for corner in box.corners()])
 
     def value_exact(self, box: Box) -> Optional[Fraction]:
         if self.kind != "corner":
-            return None
+            return box.volume if self.kind == "volume" else None
         total = Fraction(0)
         for corner in box.corners():
             v = self.generator.eval_exact(corner)
@@ -711,23 +728,15 @@ class IntervalFunction:
             total += _corner_sign(corner, box) * v
         return total
 
-    def __call__(self, box: Box) -> float:
-        return self.value(box)
 
-    def __repr__(self):
-        return f"IntervalFunction({self.name})"
-
-
-class SuperadditiveFn:
+class SuperadditiveFn(_BoxFunction):
     """Positive box function used as an n-dimensional control.
 
     Variants: c*|Q|^p, an expression of the side lengths (variables
     x1..xn), or an explicit table on dyadic cells.
     """
 
-    def __init__(self, kind: str, **data):
-        self.kind = kind  # 'volume_power' | 'sides' | 'table'
-        self.__dict__.update(data)
+    positive = True
 
     @classmethod
     def volume_power(cls, p, coeff=1) -> "SuperadditiveFn":
@@ -743,26 +752,10 @@ class SuperadditiveFn:
         expr = parse(source) if isinstance(source, str) else source
         return cls("sides", expr=expr, name=f"sides:{to_text(expr)}")
 
-    @classmethod
-    def from_table(cls, entries, parent: Box, depth: int, name="table"):
-        """As `IntervalFunction.table`."""
-        return cls("table", entries=DyadicTable.of(entries, parent, depth), parent=parent,
-                   depth=depth, name=name)
-
-    def value(self, box: Box) -> float:
+    def _formula(self, box: Box) -> float:
         if self.kind == "volume_power":
-            v = float(self.coeff) * float(box.volume) ** float(self.p)
-        elif self.kind == "sides":
-            sides = tuple(hi - lo for lo, hi in box.intervals)
-            v = self.expr.eval(sides)
-        else:
-            try:
-                v = self.entries[box]
-            except KeyError:
-                raise KeyError(f"{box} not in {self.name}") from None
-        if not v > 0.0:
-            raise ValueError(f"{self.name} is {v} on {box}; controls must be > 0")
-        return v
+            return float(self.coeff) * float(box.volume) ** float(self.p)
+        return self.expr.eval(tuple(hi - lo for lo, hi in box.intervals))
 
     def value_exact(self, box: Box) -> Optional[Fraction]:
         if self.kind == "volume_power" and self.p.denominator == 1:
@@ -771,36 +764,6 @@ class SuperadditiveFn:
             sides = tuple(hi - lo for lo, hi in box.intervals)
             return self.expr.eval_exact(sides)
         return None
-
-    def __call__(self, box: Box) -> float:
-        return self.value(box)
-
-    def __repr__(self):
-        return f"SuperadditiveFn({self.name})"
-
-
-def cell_reader(fn, grid) -> Callable:
-    """read(d, js) = fn.value(Q) on the cell Q = (d, js) of `grid`, read by
-    index where no Box is needed: a table on the grid's box, and the volume
-    or c |Q|^p from the exact cell volume, one per depth.  Else, and where a
-    table has no value or a control is not > 0, on the cell's Box, which
-    raises fn's own error."""
-    if getattr(fn, "_volume_fast", False):
-        return lambda d, js: grid.cell_volume(d)
-    if fn.kind == "table" and fn.entries.grid.box == grid.box:
-        raw = fn.entries.at
-    elif fn.kind == "volume_power":
-        c, p = float(fn.coeff), float(fn.p)
-        raw = lambda d, js: c * grid.cell_volume(d) ** p
-    else:
-        return lambda d, js: fn.value(grid.cell(d, js))
-    control = isinstance(fn, SuperadditiveFn)
-
-    def read(d, js):
-        v = raw(d, js)
-        return v if v is not None and (v > 0.0 or not control) else fn.value(grid.cell(d, js))
-
-    return read
 
 
 def partition_defect(H, parent: Box, partition) -> float:
@@ -811,16 +774,11 @@ def partition_defect(H, parent: Box, partition) -> float:
     tests to exactly zero.
     """
     cells = list(partition.cells if isinstance(partition, Partition) else partition)
-    exact_parent = H.value_exact(parent) if hasattr(H, "value_exact") else None
-    if exact_parent is not None:
-        total = Fraction(0)
-        ok = True
-        for c in cells:
-            v = H.value_exact(c)
-            if v is None:
-                ok = False
-                break
-            total += v
-        if ok:
-            return float(total - exact_parent)
+    exact = [H.value_exact(parent)]
+    for c in cells:
+        if exact[-1] is None:
+            break
+        exact.append(H.value_exact(c))
+    if exact[-1] is not None:
+        return float(sum(exact[1:]) - exact[0])
     return fsum([H.value(c) for c in cells]) - H.value(parent)

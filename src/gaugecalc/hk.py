@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from .funcspace import IntervalFunction, PointFunction, cell_reader
+from .funcspace import IntervalFunction, PointFunction
 from .intervals import (
     Box,
     DyadicGrid,
@@ -234,9 +234,9 @@ class _Leaf:
 
 
 def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
+    if G.kind == "volume":
+        return geom.volume
     if G.kind == "corner":
-        if getattr(G, "_volume_fast", False):
-            return geom.volume
         fast = G.generator.fast_eval
         if geom.dim == 1:
             def g_eval(key):
@@ -251,7 +251,7 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
             return fsum([s * fast(c) for s, c in zip(signs, corners)])
         return g_eval
 
-    read = cell_reader(G, geom)  # a table on the integration box by (d, js)
+    read = G.on_grid(geom)  # a table on the integration box by (d, js)
 
     def g_eval(key):
         try:
@@ -597,8 +597,8 @@ def _resolve(f, G, box: Box):
     """f and G as functions on `box`; neither may have more variables."""
     f = PointFunction.resolve(f)
     G = IntervalFunction.resolve(G, box.dim)
-    for name, fn in (("f", f), ("G", getattr(G, "generator", None))):
-        if fn is not None and fn.dim > box.dim:
+    for name, fn in (("f", f), ("G", G)):
+        if fn.dim > box.dim:
             raise ValueError(f"{name} is a function of {fn.dim} variables, "
                              f"but the box is {box.dim}-D")
     return f, G
@@ -673,8 +673,7 @@ def indefinite_hk(
         levels[0][grid.index(depth, js)] = fsum(vals)
     for _ in range(depth):
         levels.insert(0, [fsum(levels[0][i:i + m]) for i in range(0, len(levels[0]), m)])
-    table = IntervalFunction.table(DyadicTable(grid, levels), parent=box, depth=depth,
-                                   tolerance=tol, name=f"indef({f.name})")
+    table = IntervalFunction.table(DyadicTable(grid, levels), box, depth, name=f"indef({f.name})")
     table.result = result
     return table
 
@@ -833,7 +832,7 @@ class _Residual:
     def on_grid(self, grid: DyadicGrid) -> Callable:
         """score(d, js, point key, tag) = psi(cell (d, js), tag), with G and
         F read by index and f(tag) computed once per grid point."""
-        read_G, read_F, f, fx = cell_reader(self.G, grid), cell_reader(self.F, grid), self.f, {}
+        read_G, read_F, f, fx = self.G.on_grid(grid), self.F.on_grid(grid), self.f, {}
 
         def score(d, js, key, tag):
             try:

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._par import parallel_map
-from .funcspace import (IntervalFunction, PointFunction, SuperadditiveFn, as_scalar,
-                        cell_reader)
+from .funcspace import IntervalFunction, PointFunction, SuperadditiveFn, as_scalar
 from .hk import delta_variation_dp_tables
 from .intervals import (
     Box,
@@ -280,16 +279,14 @@ def _residuals(F, G, Phi, box: Box, deepest: int):
 
     The tested boxes Q are the depth-k dyadic cell containing x (on an
     interior cut the cell on the high side), its values read by index where
-    the operands allow (`cell_reader`), plus, for k >= 1 and when every
+    the operands allow (`on_grid`), plus, for k >= 1 and when every
     operand can be evaluated off the dyadic grid (no table kind), its
     half-cell translates that contain x, clipped to the box: index spans on
     the depth-(k+1) grid.
     """
-    translates = all(
-        getattr(o, "kind", "corner") != "table" for o in (F, G, Phi)
-    )
+    translates = all(o.kind != "table" for o in (F, G, Phi))
     grid = DyadicGrid(box, deepest + 1)
-    read_F, read_G, read_Phi = (cell_reader(o, grid) for o in (F, G, Phi))
+    read_F, read_G, read_Phi = (o.on_grid(grid) for o in (F, G, Phi))
 
     def residuals(x, fx, k):
         js = grid.containing(x, k)
@@ -644,7 +641,7 @@ def gauge_from_control(
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
     f = PointFunction.resolve(f)
-    if getattr(F, "kind", "corner") == "table" and depth > F.depth:
+    if F.kind == "table" and depth > F.depth:
         raise ValueError(
             f"table-backed F only reaches depth {F.depth}, requested {depth}"
         )
@@ -722,7 +719,7 @@ def control_from_gauges(
     levels = [[grid.cell_volume(d) + fsum([k * v for k, v in enumerate(vs, start=1)])
                for vs in zip(*(table.levels[d] for table in tables))]
               for d in range(depth + 1)]
-    phi = SuperadditiveFn.from_table(
+    phi = SuperadditiveFn.table(
         DyadicTable(grid, levels), box, depth,
         name=f"|Q|+sum k*V_k (K={K})",
     )

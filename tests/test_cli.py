@@ -131,6 +131,14 @@ class TestConvert:
         assert code == 0
         assert out.startswith("cell,phi")
 
+    def test_to_control_certification_failure_exits_1(self, capsys):
+        # the gauge 2^-4 admits no depth-4 cell, which is 2^-4 wide
+        code, out, err = run(["convert", "--direction", "to-control", "--K", "5",
+                              "--depth", "4"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("certification failed: gauge 4 admits no delta-fine "
+                       "dyadic configuration\n")
+
 
 class TestMct:
     def test_divergent_preset(self, capsys):
@@ -352,6 +360,17 @@ class TestErrors:
         ("integrate", {"f": "x", "budget": "ten"}, "budget"),
         ("indefinite", {"f": "x", "depth": "deep"}, "depth"),
         ("integrate", {"f": "x", "tol": [1e-3]}, "tol"),
+        # text keys take a JSON string only, and choices are checked as
+        # argparse checks them on the command line
+        ("integrate", {"f": 5}, "f"),
+        ("integrate", {"f": None}, "f"),
+        ("integrate", {"f": ["x"]}, "f"),
+        ("integrate", {"f": "x", "G": 3}, "G"),
+        ("integrate", {"f": "x", "out": 5}, "out"),
+        ("integrate", {"f": "x", "format": "xml"}, "format"),
+        ("verify-mc", {"F": "x^2", "f": "2*x", "phi": {"x": 1}}, "phi"),
+        ("mct", {"preset": ["ones"]}, "preset"),
+        ("convert", {"direction": True}, "direction"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, command, cfg, key,
                                                 capsys, tmp_path):
@@ -361,6 +380,19 @@ class TestErrors:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"config error: {key} must be")
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["integrate"], {"f": "x", "box": [0, "1/2"]}),
+        (["verify-mc"], {"F": "x^2", "f": "2*x", "box": [0, 1], "at": 0.5}),
+        (["identity", "additivity"], {"f": "x", "a": 0, "b": 0.25, "c": 1}),
+    ])
+    def test_config_numbers_and_arrays_where_flags_take_them(self, argv, cfg,
+                                                             capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(argv + ["--config", str(path)], capsys)
+        assert code == 0, err
+        assert out
 
     def test_help_lists_only_read_flags(self, capsys):
         with pytest.raises(SystemExit):

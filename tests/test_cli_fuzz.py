@@ -1,16 +1,22 @@
-"""Fuzzed command lines (ROADMAP item 4): every argv ends with exit code
-0, 1 or 2 and no traceback, and exit 2 prints exactly one line on stderr.
+"""Fuzzed command lines and `--config` files (ROADMAP item 4): every run
+ends with exit code 0, 1 or 2 and no traceback, and exit 2 prints exactly
+one line on stderr.
 
 Each subcommand draws the flags it reads (`cli.COMMANDS`), valid and
 hostile values mixed.  `--budget`, `--depth`, `--K` and `--samples` are
 capped and always given.  The commands that integrate with no `--budget`
 to bound them always get a `--tol` of 1e-3 or more and draw only
 integrands that end quickly, so a run that cannot converge (item 13) does
-not stall the suite.
+not stall the suite.  A config file draws the same keys (and `kind` for
+`identity`): numbers (within the same bounds) where a config may give
+them, arrays for the box, and, one time in eight, a value of any other
+JSON type (null, a boolean, a number of any size, an array or an object).
 """
 
 import contextlib
 import io
+import json
+import os
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
@@ -76,39 +82,125 @@ QUICK = {"f": values(QUICK_F), "tol": values(TOLS)}
 KINDS = ["parts", "change", "additivity", "monotone", "constancy"]
 
 
+# keys whose values bound the run: a number is drawn below the same cap
+CAPS = {"budget": 2000, "depth": 5, "K": 3, "samples": 40}
+# keys a config may give as a JSON number, and boxes given as JSON arrays
+NUMERIC = {"tol", "eps", "delta", "psi_c", "psi_p", "dev_tol", "at", "a", "b", "c", "grid",
+           *CAPS}
+BOX_ARRAYS = st.sampled_from([[0, 1], [-1, 1], [0, "1/2"], [[0, 1], [0, 1]],
+                              [["0", "3/4"], ["1/5", 1]], [1, 0], [[0, 1e308]]])
+SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+# JSON values that are not strings: null, booleans, numbers, arrays (box-like
+# ones too) and objects
+OTHER_JSON = (SCALARS.filter(lambda v: not isinstance(v, str))
+              | st.floats(allow_nan=False)
+              | st.lists(SCALARS, max_size=3)
+              | st.lists(st.lists(st.integers(-1, 2) | st.sampled_from(["1/3", "3/4"]),
+                                  min_size=2, max_size=2), min_size=1, max_size=2)
+              | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+def flag_value(draw, key, quick):
+    """A flag's value as text, hostile one time in eight."""
+    valid, hostile = FLAGS[key]
+    if draw(st.integers(0, 7)) == 0:  # --out abc would write ./abc
+        return draw(hostile if key == "out" else values(HOSTILE) | hostile)
+    return draw(QUICK.get(key, valid) if quick else valid)
+
+
+def number(draw, key, quick):
+    """A JSON number that `key` takes, within the bounds that keep a run
+    short: the caps, a tol of 1e-3 or more where no budget bounds the run,
+    and points in the unit interval.  OTHER_JSON draws the hostile ones."""
+    if key in CAPS:
+        return draw(st.integers(1, CAPS[key]) | st.floats(1, CAPS[key]))
+    if key in ("a", "b", "c", "at"):
+        return draw(st.integers(0, 1) | st.floats(0, 1))
+    return draw(st.floats(1e-3 if quick else 1e-9, 10.0))
+
+
+def keys_of(command):
+    """(the keys a command reads, `kind` aside, with `format` and `out`;
+    the keys always given; whether only tol bounds the run)."""
+    quick = command in ("convert", "identity", "mct")
+    keys = [key for key in COMMANDS[command][1] if key != "kind"]
+    return keys + ["format", "out"], set(CAPS) | ({"tol"} if quick else set()), quick
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = [command]
     if command == "identity" and draw(st.integers(0, 9)):
         argv.append(draw(st.sampled_from(KINDS + ["nope"])))
-    quick = command in ("convert", "identity", "mct")
-    always = {"budget", "K", "depth", "samples"} | ({"tol"} if quick else set())
-    keys = [key for key in COMMANDS[command][1] if key != "kind"]
-    for key in draw(st.permutations(keys + ["format", "out"])):
+    keys, always, quick = keys_of(command)
+    for key in draw(st.permutations(keys)):
         if key in always or draw(st.booleans()):
-            valid, hostile = FLAGS[key]
-            if draw(st.integers(0, 7)) == 0:  # --out abc would write ./abc
-                value = draw(hostile if key == "out" else values(HOSTILE) | hostile)
-            else:
-                value = draw(QUICK.get(key, valid) if quick else valid)
+            value = flag_value(draw, key, quick)
             flag = "--" + key.replace("_", "-")
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
+
+
+@st.composite
+def configs(draw):
+    """(argv without the --config flag, config object)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv, cfg = [command], {}
+    if command == "identity":
+        argv.append(draw(st.sampled_from(KINDS)))
+        cfg["kind"] = draw(st.sampled_from(KINDS + ["nope"]) | OTHER_JSON)
+    keys, always, quick = keys_of(command)
+    for key in draw(st.permutations(keys)):
+        if key in always or draw(st.booleans()):
+            if draw(st.integers(0, 7)) == 0:  # mostly of the wrong type
+                cfg[key] = draw(OTHER_JSON)
+            elif key in NUMERIC and draw(st.booleans()):
+                cfg[key] = number(draw, key, quick)
+            elif key == "box" and draw(st.booleans()):
+                cfg[key] = draw(BOX_ARRAYS)
+            else:
+                cfg[key] = flag_value(draw, key, quick)
+    return argv, cfg
+
+
+def run_main(argv, tmp):
+    """(exit code, stderr) of one CLI run, with {tmp} in argv replaced."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check(code, err, case):
+    assert code in (0, 1, 2), case
+    assert "Traceback" not in err, (case, err)
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1, (case, err)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_every_argv_ends_with_0_1_or_2_and_no_traceback(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([arg.replace("{tmp}", tmp) for arg in argv])
-        except SystemExit as exc:  # argparse
-            code = exc.code
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_main(argv, tmp)
+    check(code, err, argv)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_config_ends_with_0_1_or_2_and_no_traceback(case):
+    argv, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(cfg.get("out"), str):
+            cfg["out"] = cfg["out"].replace("{tmp}", tmp)
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as handle:
+            json.dump(cfg, handle)
+        code, err = run_main(argv + ["--config", path], tmp)
+    check(code, err, case)

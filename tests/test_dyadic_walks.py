@@ -652,15 +652,15 @@ def test_every_table_iterates_by_depth_then_lexicographically(source, box, depth
     dp = delta_variation_dp_tables(lambda cell, tag: float(cell.volume), box,
                                    gauges_for(box), depth)
     given = {cell: float(i) for i, cell in enumerate(reversed(expected))}
-    tables = [indefinite, *dp, IntervalFunction.table(given, box, depth, 0.0).entries,
-              SuperadditiveFn.from_table(given, box, depth).entries]
+    tables = [indefinite, *dp, IntervalFunction.table(given, box, depth).entries,
+              SuperadditiveFn.table(given, box, depth).entries]
     for table in tables:
         assert list(table) == [cell for _, cell, _ in table.by_depth()] == expected
         assert list(table.items()) == [(cell, table[cell]) for cell in expected]
         assert list(table.values()) == [table[cell] for cell in expected]
     # check_monotone reports its failures in the same order
     negative = IntervalFunction.table({cell: -v - 1.0 for cell, v in given.items()},
-                                      box, depth, 0.0)
+                                      box, depth)
     verdict = check_monotone(negative, "1", [0.5])
     assert verdict.failures == [(cell, negative.value(cell)) for cell in expected]
 
@@ -678,7 +678,7 @@ def dp_case(box, depth):
                                     "2x1x2", dim=2)
     exact = IntervalFunction.from_generator(PointFunction.from_expr("x1^2*x2", dim=2))
     cells = [c for d in range(depth + 1) for c in dyadic_cells(box, d)]
-    F = IntervalFunction.table({c: exact.value(c) for c in cells}, box, depth, 0.0)
+    F = IntervalFunction.table({c: exact.value(c) for c in cells}, box, depth)
     return f, IntervalFunction.volume(2), F, calls
 
 
@@ -717,8 +717,8 @@ def test_box_lookups_and_their_key_errors():
     partial = {cell: v for cell, v in table.entries.items() if cell != missing}
     assert len(partial) == len(table.entries) - 1
     for make, text in [
-            (lambda e: IntervalFunction.table(e, BOX_1D, 3, 1e-9, name="t"), "not in t (depth 3)"),
-            (lambda e: SuperadditiveFn.from_table(e, BOX_1D, 3, name="phi"), "not in phi")]:
+            (lambda e: IntervalFunction.table(e, BOX_1D, 3, name="t"), "not in t (depth 3)"),
+            (lambda e: SuperadditiveFn.table(e, BOX_1D, 3, name="phi"), "not in phi (depth 3)")]:
         given = make(partial)
         with pytest.raises(KeyError) as err:
             given.value(missing)
@@ -735,14 +735,14 @@ def test_box_lookups_and_their_key_errors():
 def test_a_table_is_given_dyadic_cells_of_its_parent():
     for entries in [{Box.of(("1/3", "1/2")): 1.0}, {Box.unit(2): 1.0}]:
         with pytest.raises(ValueError, match="not a dyadic cell"):
-            IntervalFunction.table(entries, BOX_1D, 3, 1e-9)
+            IntervalFunction.table(entries, BOX_1D, 3)
     # cells deeper than the depth are not cells of the table
     with pytest.raises(ValueError, match="to depth 0"):
-        SuperadditiveFn.from_table({Box.of((0, "1/2")): 1.0}, Box.unit(), 0)
+        SuperadditiveFn.table({Box.of((0, "1/2")): 1.0}, Box.unit(), 0)
     # a dict allocates lists down to its deepest cell, not to the depth
-    sparse = IntervalFunction.table({Box.unit(2): 2.0}, Box.unit(2), 12, 0.0)
+    sparse = IntervalFunction.table({Box.unit(2): 2.0}, Box.unit(2), 12)
     assert len(sparse.entries.levels) == 1 and sparse.value(Box.unit(2)) == 2.0
-    assert IntervalFunction.table({}, Box.unit(), 3, 0.0).entries == {}
+    assert IntervalFunction.table({}, Box.unit(), 3).entries == {}
 
 
 def test_a_wrapped_residual_psi_is_called_on_every_admitted_pair():

@@ -236,6 +236,13 @@ class TestEval:
         assert h(("1/4",)) == 0.0
         assert h(("1/2",)) == 1.0
         assert h(("3/4",)) == 1.0
+        # the expression ite(x<c,0,1): exact on rationals, and on a float
+        # tag the exact comparison of the tag with c
+        h = PointFunction.builtin("heaviside_1/3")
+        assert h.name == "heaviside_1/3" and h.expr == parse("ite(x<1/3,0,1)")
+        assert h.eval_exact(("1/3",)) == 1 and h.eval_exact((Fraction(1, 3) - 2**-60,)) == 0
+        for x in (0.0, 1 / 3, math.nextafter(1 / 3, 1.0), 0.5, 1e300):
+            assert h.fast_eval((x,)) == (0.0 if x < Fraction(1, 3) else 1.0)
 
     def test_domain_errors_point_at_subexpression(self):
         f = PointFunction.from_expr("log(x-1)")
@@ -287,7 +294,7 @@ class TestIntervalFunction:
         assert G.value(Box.of(("3/5", "9/10"))) == 0.0
 
     def test_table_missing_entry(self):
-        T = IntervalFunction.table({Box.unit(): 1.0}, Box.unit(), 0, 1e-12)
+        T = IntervalFunction.table({Box.unit(): 1.0}, Box.unit(), 0)
         with pytest.raises(KeyError):
             T.value(Box.of((0, "1/2")))
 

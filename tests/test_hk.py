@@ -153,6 +153,14 @@ class TestHkIntegrate:
         assert result.converged
         assert result.value == pytest.approx(0.25, abs=1e-8)
 
+    @pytest.mark.parametrize("f", ["x1^2+x2", "abs(x1-x2)"])
+    @pytest.mark.parametrize("box", [Box.unit(2), Box.of((0, "3/4"), ("1/4", 1))])
+    def test_2d_corner_generated_volume_is_the_volume(self, f, box):
+        # the corner increments of x1*x2 on float bounds, against the
+        # volume read from the grid: the same run
+        G = IntervalFunction.from_generator(PointFunction.from_expr("x1*x2", dim=2))
+        assert hk_integrate(f, G, box) == hk_integrate(f, IntervalFunction.volume(2), box)
+
     def test_result_json(self):
         import json
 
@@ -384,7 +392,7 @@ class TestIndefinite:
     def test_cumulative_names_a_cell_that_is_not_finite(self):
         cells = {c: 1.0 for c in dyadic_cells(Box.unit(), 2)}
         cells[Box.of(("1/2", "3/4"))] = math.inf
-        table = IntervalFunction.table(cells, Box.unit(), 2, 0.0, name="t")
+        table = IntervalFunction.table(cells, Box.unit(), 2, name="t")
         with pytest.raises(ValueError, match=r"t is inf on \[1/2,3/4\], not finite"):
             cumulative(table, 0)
 

@@ -489,3 +489,20 @@ class TestControlFromGauges:
     def test_missing_certification(self):
         with pytest.raises(CertificationError):
             control_from_gauges(self.psi, [Gauge.constant(16.0)], self.box, 6)
+
+    def test_no_fine_configuration_of_the_box(self):
+        # a depth-2 cell is 1/4 wide, not below the gauge: no cell at the
+        # finest depth has a fine tag, so the box has no configuration
+        with pytest.raises(CertificationError) as err:
+            control_from_gauges(self.psi, [Gauge.constant(0.25)], self.box, 2)
+        assert str(err.value) == "gauge 1 admits no delta-fine dyadic configuration"
+
+    def test_cells_without_fine_configurations(self):
+        # 2 at x = 1/2 tags the box and both halves at their common point;
+        # elsewhere 2^-20 admits no cell, so [0,1/4] has no configuration
+        table = indefinite_hk("2*x", None, self.box, depth=2)
+        psi = residual_cell_fn("2*x", self.G, table)
+        gauge = Gauge.from_function(lambda x: 2.0 if x == 0.5 else 2.0**-20)
+        with pytest.raises(CertificationError) as err:
+            control_from_gauges(psi, [gauge], self.box, 2)
+        assert str(err.value) == "gauge 1 leaves cells without fine configurations"
