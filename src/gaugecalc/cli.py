@@ -151,10 +151,8 @@ def _emit(cfg, rows, json_obj):
 
 def run_integrate(cfg) -> int:
     box = _parse_box(cfg.get("box", "[0,1]"))
-    f = PointFunction.resolve(cfg["f"])
-    G = IntervalFunction.resolve(cfg.get("G"), box.dim)
     result = hk_integrate(
-        f, G, box, tol=cfg.get("tol", 1e-6),
+        cfg["f"], cfg.get("G"), box, tol=cfg.get("tol", 1e-6),
         budget=cfg.get("budget", EVAL_BUDGET_DEFAULT),
     )
     rows = [
@@ -171,9 +169,7 @@ def run_integrate(cfg) -> int:
 def run_indefinite(cfg) -> int:
     box = _parse_box(cfg.get("box", "[0,1]"))
     table = indefinite_hk(
-        PointFunction.resolve(cfg["f"]),
-        IntervalFunction.resolve(cfg.get("G"), box.dim),
-        box,
+        cfg["f"], cfg.get("G"), box,
         depth=cfg.get("depth", 4),
         tol=cfg.get("tol", 1e-6),
         budget=cfg.get("budget", EVAL_BUDGET_DEFAULT),
@@ -471,10 +467,13 @@ def _validate(cfg: dict, command: str):
     for key, kind in _FLAG_TYPES.items():
         if key not in cfg:
             continue
-        try:
-            cfg[key] = kind(cfg[key])
+        value = cfg[key]
+        try:  # a boolean is no number, and an int key takes no fraction
+            if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
+                raise ValueError
+            cfg[key] = kind(value)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}") from None
+            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
         if kind is float and not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
     if cfg.get("budget") is not None and cfg["budget"] < 1:

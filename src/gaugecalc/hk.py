@@ -13,12 +13,12 @@ it: a fraction of |s3 - s4| against oscillatory aliasing, and, when every
 composite agrees exactly, a fraction of the trapezoid-vs-midpoint gap
 against a feature hidden at the cell's edge.
 
-Cells containing a declared singular point of f are tagged at that point
+A cell that holds a declared singular point of f is tagged at that point
 (the gauge-integration choice: the singular point must tag its own cell).
-Containment is decided by index on the exact point: a depth-d cell holds it
-when, on each axis, its index is the floor of the point's coordinate in box
-units times 2^d, or one less on a cut.  Around each such point the tree
-keeps a shrinking nest (`_Nest`); the masses of the successive "rings"
+The box is cut on each axis at the points' coordinates and midway between
+consecutive ones (`_pieces`), so each piece's tree holds at most one point,
+at a corner, and the cells that hold it are the corner cells, one per
+depth: a shrinking nest (`_Nest`).  The masses of the successive "rings"
 peeled off the nest are extrapolated geometrically to estimate the
 remaining mass, and that estimate doubles as the nest's error indicator.
 This converges for monotone endpoint blow-ups (inv_sqrt) and for
@@ -54,7 +54,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
 from typing import Callable, Optional
 
 from .funcspace import IntervalFunction, PointFunction
@@ -118,31 +117,25 @@ EDGE_GUARD = 0.005  # weight of the trapezoid-vs-midpoint gap (edge tripwire)
 
 
 class _Nest:
-    """The shrinking nest of cells around one declared singular point.
+    """The shrinking nest at a declared singular point, a corner of the box.
 
-    A cell that holds the point is tagged there; refining it peels off a
-    ring of regular cells around the cells that still hold it.  The rings'
-    masses and defects are kept in the order they were peeled.
+    The cell at that corner, one per depth, is tagged at the point;
+    refining it peels off a ring of regular cells around the next corner
+    cell.  The rings' masses and defects are kept in the order peeled.
     """
 
-    __slots__ = ("floats", "rel", "keys", "masses", "defects", "correction", "defect")
+    __slots__ = ("floats", "corner", "key", "masses", "defects", "correction", "defect")
 
     def __init__(self, point, box: Box):
         self.floats = tuple(float(c) for c in point)
-        # coordinate of the point in box units, exact
-        self.rel = [(c - lo) / (hi - lo) for c, (lo, hi) in zip(point, box.intervals)]
-        self.keys = set()  # of the leaves tagged at the point
+        self.corner = tuple(int(c == hi) for c, (lo, hi) in zip(point, box.intervals))
+        self.key = None  # of the leaf tagged at the point
         self.masses, self.defects = [], []  # per ring
         self.correction = self.defect = 0.0
 
-    def cells(self, d) -> list:
-        """Indices of the depth-d cells that hold the point: on each axis the
-        floor of its coordinate times 2^d, and the cell below on a cut."""
-        axes = []
-        for r in self.rel:
-            j, rem = divmod(r.numerator << d, r.denominator)
-            axes.append([i for i in ((j,) if rem else (j - 1, j)) if 0 <= i < 1 << d])
-        return list(itertools.product(*axes))
+    def cell(self, d) -> tuple:
+        """Indices of the depth-d cell at the corner."""
+        return tuple(((1 << d) - 1) * c for c in self.corner)
 
     def update(self, leaves):
         # The remaining mass inside a nest is extrapolated geometrically
@@ -154,8 +147,8 @@ class _Nest:
         # nest cannot claim precision its rings do not have yet.
         R = len(self.masses)
         self.correction = 0.0
-        if R < 2:  # the tagged cells' own gaps, and the first ring's mass
-            raw = fsum([abs(leaves[k].s1 - leaves[k].s2) for k in sorted(self.keys)])
+        if R < 2:  # the tagged cell's own gap, and the first ring's mass
+            raw = abs(leaves[self.key].s1 - leaves[self.key].s2)
             self.defect = abs(self.masses[0]) + raw if R else raw
             return
         m0, m1 = self.masses[-2:]
@@ -264,32 +257,21 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
 
 
 class _Tree:
+    """The cell tree of a box with at most one declared point, at a corner."""
+
     def __init__(self, f: PointFunction, G: IntervalFunction, box: Box, budget):
         self.geom = DyadicGrid(box, CHAIN_DEPTH_CAP + 3)  # probes: 3 levels below a leaf
         self.f_eval, self.f_block = f.fast_eval, f.eval_block
         self.g_eval = _make_g_eval(G, self.geom)
         self.budget = budget
-        self.share = 0.0  # each nest's share of the tolerance, set by run()
+        self.share = 0.0  # the nest's share of the tolerance, set by run()
         self.evals = 0
         self.leaves = {}  # key -> _Leaf
         self.heap = []  # (-defect, key) for refinable regular leaves
         self.sum_values = 0.0
         self.sum_defects = 0.0  # regular leaves only
-        nests = self.nests = [_Nest(p, box) for p in getattr(f, "singular_points", ())
-                              if box.contains(p)]
-
-        # made per depth on first use; it closes over `nests`, not `self`, and
-        # a nest keeps its leaves' keys, so no reference cycle outlives a tree
-        @cache
-        def tagged(d):
-            """{indices: the first nest whose point the depth-d cell holds}"""
-            cells = {}
-            for nest in nests:
-                for js in nest.cells(d):
-                    cells.setdefault(js, nest)
-            return cells
-
-        self.tagged = tagged
+        points = [p for p in getattr(f, "singular_points", ()) if box.contains(p)]
+        self.nest = _Nest(points[0], box) if points else None
 
     # -- evaluation helpers
 
@@ -313,13 +295,11 @@ class _Tree:
         trap = total / len(corners) * self.g_eval(key)
         return abs(trap - s1)
 
-    def _probe(self, key, parent_tagged):
-        """(nest or None, s1) for a cell, one f evaluation.
-
-        A cell can hold a declared point only if its parent does, so the
-        nests are looked up only at the root and below tagged cells.
-        """
-        singular = self.tagged(key[0]).get(key[1]) if parent_tagged else None
+    def _probe(self, key, nest):
+        """(nest or None, s1) for a cell, one f evaluation; `nest` is its
+        parent's (the tree's, at the root): only the corner cell of a tagged
+        cell is tagged."""
+        singular = nest if nest is not None and key[1] == nest.cell(key[0]) else None
         tag = singular.floats if singular is not None else self.geom.center(key)
         self.evals += 1
         try:
@@ -333,10 +313,10 @@ class _Tree:
         `cells` into v4, at c's slice in nested order, with f evaluated as
         one block; `g` is their G value when G is the volume, else None."""
         geom, n, tags = self.geom, 8**self.geom.dim, []
-        for _, key, nest in cells:  # only a tagged cell can hold tagged cells
-            nests = nest and self.tagged(key[0] + 3)
-            tags += [nests[k[1]].floats if k[1] in nests else geom.center(k) for k in
-                     geom.descendants(key, 3)] if nests else geom.centers(key, 3)
+        for _, key, nest in cells:  # only a tagged cell can hold a tagged cell
+            corner = nest and nest.cell(key[0] + 3)
+            tags += [nest.floats if k[1] == corner else geom.center(k) for k in
+                     geom.descendants(key, 3)] if nest else geom.centers(key, 3)
         self.evals += len(tags)
         fvals = []
         try:
@@ -352,16 +332,13 @@ class _Tree:
     # -- leaf management
 
     def make_leaf(self, key, probe=None, l2=None, l3=None, ring=None):
-        singular, s1 = probe if probe is not None else self._probe(key, True)
+        singular, s1 = probe if probe is not None else self._probe(key, self.nest)
         children = self.geom.children
         if l2 is None:
-            l2 = [(ck,) + self._probe(ck, singular is not None)
-                  for ck in children(key)]
+            l2 = [(ck,) + self._probe(ck, singular) for ck in children(key)]
         if l3 is None:
-            l3 = [(gk,) + self._probe(gk, c[1] is not None)
-                  for c in l2 for gk in children(c[0])]
-        l4 = [(hk,) + self._probe(hk, g[1] is not None)
-              for g in l3 for hk in children(g[0])]
+            l3 = [(gk,) + self._probe(gk, c[1]) for c in l2 for gk in children(c[0])]
+        l4 = [(hk,) + self._probe(hk, g[1]) for g in l3 for hk in children(g[0])]
         s2 = fsum([c[2] for c in l2])
         value, defect = self._estimate(key, singular, s1, s2, fsum([g[2] for g in l3]),
                                        fsum([h[2] for h in l4]))
@@ -406,7 +383,7 @@ class _Tree:
         self.leaves[key] = leaf
         self.sum_values += value
         if leaf.singular is not None:
-            leaf.singular.keys.add(key)
+            leaf.singular.key = key
         else:
             self.sum_defects += defect
             if ring is not None:
@@ -423,9 +400,7 @@ class _Tree:
     def drop_leaf(self, leaf):
         del self.leaves[leaf.key]
         self.sum_values -= leaf.value
-        if leaf.singular is not None:
-            leaf.singular.keys.remove(leaf.key)
-        else:
+        if leaf.singular is None:
             self.sum_defects -= leaf.defect
             if leaf.ring is not None:
                 nest, r = leaf.ring
@@ -463,18 +438,18 @@ class _Tree:
         two and three levels down are slices, and the (key, singular, s1)
         caches that `refine` reads are built at `depth` only.
         """
-        geom, m, tagged = self.geom, 2**self.geom.dim, self.tagged
+        geom, m, nest = self.geom, 2**self.geom.dim, self.nest
         vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
         level = [(root, 0)]  # the leaves in key order, with their indices
         for d in range(depth):
             if d + 1 == depth:  # the first convergence check's previous total
-                self.update_nests()
+                self.update_nest()
                 prev = self.total()[0]
             v1, v2, v3 = vals
-            v4, tags = [0.0] * (len(v3) * m), tagged(d + 1)
+            v4, corner = [0.0] * (len(v3) * m), nest and nest.cell(d + 1)
             # one G value per level when G is the volume
             g = self.g_eval((d + 4, (0,) * geom.dim)) if self.g_eval == geom.volume else None
-            kids = [(leaf, [(c, key, tags.get(key[1])) for c, key in
+            kids = [(leaf, [(c, key, nest if key[1] == corner else None) for c, key in
                             enumerate(geom.children(leaf.key), o * m)]) for leaf, o in level]
             self._probe_level([cell for _, cells in kids for cell in cells], v4, g)
             below = []
@@ -494,8 +469,8 @@ class _Tree:
         caches = []
         for r, v in zip((1, 2, 3), vals):
             probes = list(zip(geom.descendants(root.key, depth + r), itertools.repeat(None), v))
-            for js, nest in tagged(depth + r).items():
-                p = geom.index(depth + r, js)
+            if nest is not None:
+                p = geom.index(depth + r, nest.cell(depth + r))
                 probes[p] = (probes[p][0], nest, v[p])
             caches.append((m**r, probes))
         for leaf, c in level:
@@ -504,19 +479,19 @@ class _Tree:
 
     # -- totals
 
-    def update_nests(self):
-        for nest in self.nests:
-            nest.update(self.leaves)
+    def update_nest(self):
+        if self.nest is not None:
+            self.nest.update(self.leaves)
 
     def total(self):
-        correction = sum(n.correction for n in self.nests)
-        defect = self.sum_defects + sum(n.defect for n in self.nests)
-        return self.sum_values + correction, defect
+        if self.nest is None:
+            return self.sum_values, self.sum_defects
+        return self.sum_values + self.nest.correction, self.sum_defects + self.nest.defect
 
     # -- marking
 
     def select_marks(self):
-        """Worst regular leaves (within 4x of the max defect) + needy nests."""
+        """The nest's leaf if needy + the worst regular leaves (within 4x of the max)."""
         marks = []
         while self.heap:
             neg, key = self.heap[0]
@@ -528,11 +503,10 @@ class _Tree:
         max_defect = -self.heap[0][0] if self.heap else 0.0
         # a nest deepens only while its own uncertainty threatens the
         # tolerance; every extra ring multiplies the resolution bill
-        nest_marks = []
-        for nest in self.nests:
-            ripe = [self.leaves[k] for k in sorted(nest.keys) if k[0] < CHAIN_DEPTH_CAP]
-            if ripe and not nest.blocked(self.share) and nest.defect >= self.share:
-                nest_marks.extend(ripe)
+        nest, nest_marks = self.nest, []
+        if (nest is not None and nest.key[0] < CHAIN_DEPTH_CAP
+                and not nest.blocked(self.share) and nest.defect >= self.share):
+            nest_marks.append(self.leaves[nest.key])
         threshold = 0.25 * max_defect
         while self.heap:
             neg, key = heapq.heappop(self.heap)
@@ -547,13 +521,13 @@ class _Tree:
         return nest_marks + marks
 
     def run(self, tol, min_depth=0):
-        self.share = 0.25 * tol / max(1, len(self.nests))
+        self.share = 0.25 * tol
         root = self.make_leaf((0, (0,) * self.geom.dim))
         # an indefinite table forces a grid depth; each forced level is a
         # refinement round, so the first check below compares the sums over
         # the last two grid levels
         prev = self.force_grid(root, min_depth) if min_depth > 0 else None
-        self.update_nests()
+        self.update_nest()
 
         delta = math.inf
         second_look = False
@@ -578,12 +552,12 @@ class _Tree:
                     break
                 if leaf.key in self.leaves:
                     self.refine(leaf)
-            self.update_nests()
+            self.update_nest()
 
     def _result(self, defect, delta, converged):
         value = fsum([lf.value for lf in self.leaves.values()])
-        for nest in self.nests:
-            value += nest.correction
+        if self.nest is not None:
+            value += self.nest.correction
         return IntegralResult(
             value=value,
             error_estimate=defect + (delta if math.isfinite(delta) else 0.0),
@@ -604,6 +578,39 @@ def _resolve(f, G, box: Box):
     return f, G
 
 
+def _pieces(box: Box, points) -> list:
+    """`box` cut on each axis at the coordinates of the points inside it and
+    midway between each two consecutive ones, so each piece holds at most
+    one point, at a corner; [box] when no cut falls inside."""
+    inside = [p for p in points if box.contains(p)]
+    axes = []
+    for i, (lo, hi) in enumerate(box.intervals):
+        cs = sorted({p[i] for p in inside})
+        cuts = sorted({*cs, *((a + b) / 2 for a, b in zip(cs, cs[1:]))} - {lo, hi})
+        axes.append(list(zip([lo, *cuts], [*cuts, hi])))
+    if all(len(axis) == 1 for axis in axes):
+        return [box]
+    return [Box(piece) for piece in itertools.product(*axes)]
+
+
+def _floor(f, box: Box, depth: int) -> int:
+    """The evaluations before a run's first check: its forced grid, every cell
+    down to depth + 3, or on a box that f's points cut, its parts' floors."""
+    pieces = _pieces(box, getattr(f, "singular_points", ()))
+    if len(pieces) == 1:
+        return sum(2 ** (box.dim * k) for k in range(depth + 4))
+    return sum(_floor(f, p, max(depth - 1, 0)) for p in (box.bisect() if depth else pieces))
+
+
+def _joined(results, below=0) -> IntegralResult:
+    """One result for the parts of a box, each `below` levels under it."""
+    return IntegralResult(fsum([r.value for r in results]),
+                          fsum([r.error_estimate for r in results]),
+                          sum(r.evaluations for r in results),
+                          max(r.max_depth for r in results) + below,
+                          all(r.converged for r in results))
+
+
 def hk_integrate(
     f,
     G,
@@ -615,12 +622,27 @@ def hk_integrate(
 
     Refines the dyadic cell tree until the summed Cauchy defects fall
     below tol/2 and two successive global sums differ by less than tol/2.
-    On budget exhaustion the best value is returned with converged=False.
+    A box that f's declared points cut (`_pieces`) is integrated piece by
+    piece at tol / (number of pieces); `max_depth` is then the depth within
+    a piece.  A budget below the pieces' root probes (1 + 2^n + 4^n + 8^n
+    each) raises ValueError before any evaluation.  A piece gets an equal
+    share of what the pieces before it left, so a run goes past the budget
+    by at most one refinement per piece.  On budget exhaustion the best
+    value is returned with converged=False.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
     f, G = _resolve(f, G, box)
-    return _Tree(f, G, box, budget).run(tol)
+    pieces = _pieces(box, getattr(f, "singular_points", ()))
+    floor = _floor(f, box, 0)
+    if floor > budget:
+        raise ValueError(f"the roots of {len(pieces)} piece(s) take {floor} "
+                         f"evaluations, over the budget of {budget}")
+    results = []
+    for i, piece in enumerate(pieces):
+        left = budget - sum(r.evaluations for r in results)
+        results.append(_Tree(f, G, piece, left // (len(pieces) - i)).run(tol / len(pieces)))
+    return _joined(results)
 
 
 def indefinite_hk(
@@ -643,34 +665,45 @@ def indefinite_hk(
     over the depth-(depth-1) and depth-`depth` grids, so a table whose grid
     already meets tol stops at its grid depth.  The forced grid probes
     every cell down to depth + 3 once; a budget below that count raises
-    ValueError before any evaluation.
+    ValueError before any evaluation.  A box that f's declared points cut
+    (`_pieces`) has one table per half, at depth - 1 and tol / 2^n; its
+    forced grid is its halves', and a half gets a share of what the halves
+    before it left in proportion to its own, but never less than it.  At
+    depth 0 its one cell is `hk_integrate`'s.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
-    grid_probes = sum(2 ** (box.dim * k) for k in range(depth + 4))
+    f, G = _resolve(f, G, box)
+    grid_probes = _floor(f, box, depth)
     if grid_probes > budget:
         raise ValueError(f"depth {depth} takes {grid_probes} evaluations on its "
                          f"forced grid, over the budget of {budget}")
-    f, G = _resolve(f, G, box)
-    tree = _Tree(f, G, box, budget)
-    result = tree.run(tol, min_depth=depth)
-
-    corrections = {}
-    for nest in tree.nests:
-        if nest.correction and nest.keys:
-            host = min(nest.keys)
-            corrections[host] = corrections.get(host, 0.0) + nest.correction
-
-    groups = {}
-    for (d, js), leaf in tree.leaves.items():
-        groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(
-            leaf.value + corrections.get((d, js), 0.0))
-
-    # each coarser level sums the blocks of 2^n children in the finer one
     grid, m = DyadicGrid(box, depth), 2**box.dim
-    levels = [[0.0] * m**depth]
-    for js, vals in groups.items():
-        levels[0][grid.index(depth, js)] = fsum(vals)
+    cut = len(_pieces(box, getattr(f, "singular_points", ()))) > 1
+    if cut and depth == 0:
+        result = hk_integrate(f, G, box, tol, budget)
+        levels = [[result.value]]
+    elif cut:  # the halves' depth-(depth - 1) levels, in nested order
+        halves, floors = [], [_floor(f, half, depth - 1) for half in box.bisect()]
+        for i, half in enumerate(box.bisect()):
+            left = budget - sum(t.result.evaluations for t in halves)
+            share = max(floors[i], left * floors[i] // sum(floors[i:]))
+            halves.append(indefinite_hk(f, G, half, depth - 1, tol / m, share))
+        result = _joined([t.result for t in halves], below=1)
+        levels = [[v for t in halves for v in t.entries.levels[-1]]]
+    else:
+        tree = _Tree(f, G, box, budget)
+        result = tree.run(tol, min_depth=depth)
+        nest = tree.nest
+        host = nest.key if nest is not None and nest.correction else None
+        groups = {}
+        for (d, js), leaf in tree.leaves.items():
+            groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(
+                leaf.value + (nest.correction if (d, js) == host else 0.0))
+        levels = [[0.0] * m**depth]
+        for js, vals in groups.items():
+            levels[0][grid.index(depth, js)] = fsum(vals)
+    # each coarser level sums the blocks of 2^n children in the finer one
     for _ in range(depth):
         levels.insert(0, [fsum(levels[0][i:i + m]) for i in range(0, len(levels[0]), m)])
     table = IntervalFunction.table(DyadicTable(grid, levels), box, depth, name=f"indef({f.name})")

@@ -279,6 +279,9 @@ ONE_LINE_ERRORS = [
     (["identity", "additivity", "--f", "x", "--b", "abc"], 2),
     # 2.0**-K underflows to 0 from K = 1075
     (["convert", "--direction", "to-control", "--K", "2000"], 2),
+    # a budget below the root cells' probes, uncut and cut at 0
+    (["integrate", "--f", "inv_sqrt", "--budget", "14"], 2),
+    (["integrate", "--f", "hk_primitive", "--box", "[-1,1]", "--budget", "29"], 2),
 ]
 
 
@@ -371,6 +374,13 @@ class TestErrors:
         ("verify-mc", {"F": "x^2", "f": "2*x", "phi": {"x": 1}}, "phi"),
         ("mct", {"preset": ["ones"]}, "preset"),
         ("convert", {"direction": True}, "direction"),
+        # a fraction for an int key, and a boolean for any number key, as
+        # `--depth 1.5` and `--tol true` are refused on the command line
+        ("indefinite", {"f": "x", "depth": 1.5}, "depth"),
+        ("integrate", {"f": "x", "budget": -2.5}, "budget"),
+        ("integrate", {"f": "x", "tol": True}, "tol"),
+        ("indefinite", {"f": "x", "depth": False}, "depth"),
+        ("integrate", {"f": "x", "budget": True}, "budget"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, command, cfg, key,
                                                 capsys, tmp_path):
@@ -385,6 +395,9 @@ class TestErrors:
         (["integrate"], {"f": "x", "box": [0, "1/2"]}),
         (["verify-mc"], {"F": "x^2", "f": "2*x", "box": [0, 1], "at": 0.5}),
         (["identity", "additivity"], {"f": "x", "a": 0, "b": 0.25, "c": 1}),
+        # an integral float is an int
+        (["integrate"], {"f": "x", "budget": 1000.0}),
+        (["indefinite"], {"f": "x", "depth": 2.0, "tol": 1}),
     ])
     def test_config_numbers_and_arrays_where_flags_take_them(self, argv, cfg,
                                                              capsys, tmp_path):

@@ -414,7 +414,7 @@ class PerLeafTree(hk._Tree):
                              key=lambda lf: lf.key)
             if not shallow:
                 return prev
-            self.update_nests()
+            self.update_nest()
             prev = self.total()[0]
             start = len(log)
             for leaf in shallow:
@@ -425,20 +425,21 @@ class PerLeafTree(hk._Tree):
 
 
 def peak(x):
-    return 0.0 if x == 0.5 else abs(x - 0.5) ** -0.5
+    return 0.0 if x == 1.0 else abs(x - 1.0) ** -0.5
 
 
 def peak_2d(p):
-    r2 = (p[0] - 0.375) ** 2 + (p[1] - 0.6) ** 2
+    r2 = (p[0] - 0.75) ** 2 + (p[1] - 0.2) ** 2
     return 0.0 if r2 == 0.0 else r2 ** -0.25
 
 
-# anchors on interior cuts: two (1-D) and four (2-D) singular cells per level
+# anchors at corners that a tree can hold: the upper end of the unit
+# interval, and BOX_2D's corner that is high on x1 and low on x2
 ANCHORED = {
     "peak": lambda: PointFunction.from_callable(
-        peak, "peak", singular_points=(Fraction(1, 2),)),
+        peak, "peak", singular_points=(Fraction(1),)),
     "peak_2d": lambda: PointFunction.from_callable(
-        peak_2d, "peak_2d", dim=2, singular_points=((Fraction(3, 8), Fraction(3, 5)),)),
+        peak_2d, "peak_2d", dim=2, singular_points=((Fraction(3, 4), Fraction(1, 5)),)),
 }
 
 
@@ -465,9 +466,9 @@ def recorded(source, dim=1):
 
 def tree_state(tree, prev):
     """Everything the adaptive phase reads, with floats as their bits and
-    each nest as its index."""
+    the nest as 0."""
     def nest(n):
-        return None if n is None else tree.nests.index(n)
+        return None if n is None else 0
 
     def probes(cache):
         return None if cache is None else [(k, nest(s), v.hex()) for k, s, v in cache]
@@ -478,10 +479,11 @@ def tree_state(tree, prev):
               for lf in tree.leaves.values()]
     live = sorted((neg, key) for neg, key in tree.heap if key in tree.leaves
                   and tree.leaves[key].singular is None and -neg == tree.leaves[key].defect)
-    tree.update_nests()
-    nests = [(len(n.masses), n.correction.hex(), n.defect.hex(), sorted(n.keys))
-             for n in tree.nests]
-    rings = [([v.hex() for v in n.masses], [v.hex() for v in n.defects]) for n in tree.nests]
+    tree.update_nest()
+    nests = [(len(n.masses), n.correction.hex(), n.defect.hex(), n.key)
+             for n in [tree.nest] if n is not None]
+    rings = [([v.hex() for v in n.masses], [v.hex() for v in n.defects])
+             for n in [tree.nest] if n is not None]
     return (None if prev is None else prev.hex(), tree.evals, leaves, live, nests, rings,
             tree.sum_values.hex(), tree.sum_defects.hex())
 
@@ -581,10 +583,8 @@ def box_dict_table(f, G, box, depth, tol):
     tree = hk._Tree(f, G, box, hk.EVAL_BUDGET_DEFAULT)
     tree.run(tol, min_depth=depth)
     corrections = {}
-    for nest in tree.nests:
-        if nest.correction and nest.keys:
-            host = min(nest.keys)
-            corrections[host] = corrections.get(host, 0.0) + nest.correction
+    if tree.nest is not None and tree.nest.correction:
+        corrections[tree.nest.key] = tree.nest.correction
     groups = {}
     for (d, js), leaf in tree.leaves.items():
         groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(

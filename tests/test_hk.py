@@ -192,53 +192,42 @@ class TestHkIntegrate:
         # fewer variables than the box has are fine
         assert hk_integrate("x1", None, Box.unit(2)).value == pytest.approx(0.5)
 
-    def test_inherited_singular_status_matches_exact_test(self):
+    def test_every_tagged_probe_is_its_pieces_corner_cell(self, monkeypatch):
         # 1/4 and 1/3 share cells down to depth 3; 1/3 is not dyadic, so a
-        # float test can misplace it in cells deeper than about 53 levels
+        # float test could misplace it in cells deeper than about 53 levels
         anchors = (Fraction(1, 4), Fraction(1, 3))
+        seen, probe, boxes = [], hk._Tree._probe, {}
 
-        def peaks(x):
-            gaps = [abs(x - float(a)) for a in anchors]
-            return 0.0 if 0.0 in gaps else sum(g**-0.5 for g in gaps)
-
-        f = PointFunction.from_callable(peaks, "peaks", singular_points=anchors)
-        tree = hk._Tree(f, LENGTH, Box.unit(), 20_000)
-        seen = []
-        probe = tree._probe
-
-        def recording(key, parent_tagged):
-            out = probe(key, parent_tagged)
-            seen.append((key, out[0]))
+        def recording(tree, key, nest):
+            out = probe(tree, key, nest)
+            boxes[tree.geom] = tree.geom.box.intervals[0]
+            seen.append((tree.geom, key, out[0]))
             return out
 
-        def holds(a, key):  # exact closed-interval containment
-            d, (j,) = key
-            return j <= a * 2**d <= j + 1
-
-        def exact(key):
-            return next((i for i, a in enumerate(anchors) if holds(a, key)), None)
-
-        tree._probe = recording
-        tree.run(1e-6)
-        for key, singular in seen:
-            assert (None if singular is None else tree.nests.index(singular)) == exact(key), key
-        assert {exact(k) for k, _ in seen} == {None, 0, 1}
-        assert max(k[0] for k, s in seen if s is not None) > 53
-        # every depth the tree can reach, against the exact test around the
-        # point; past depth 53 the float of 1/3 lands in another cell
-        for a, nest in zip(anchors, tree.nests):
-            for d in range(hk.CHAIN_DEPTH_CAP + 4):
-                near = {(j,) for j in range(int(a * 2**d) - 2, int(a * 2**d) + 3)
-                        if 0 <= j < 2**d and holds(a, (d, (j,)))}
-                assert set(nest.cells(d)) == near, (a, d)
+        monkeypatch.setattr(hk._Tree, "_probe", recording)
+        hk_integrate(_inv_sqrt_gaps(anchors), LENGTH, Box.unit(), tol=3e-7)
+        assert sorted(boxes.values()) == [(0, Fraction(1, 4)), (Fraction(1, 4), Fraction(7, 24)),
+                                          (Fraction(7, 24), Fraction(1, 3)), (Fraction(1, 3), 1)]
+        # each anchor's coordinate in each piece's units, exact, as (a, p, q)
+        rel = {}
+        for geom, (lo, hi) in boxes.items():
+            rel[geom] = [(a, r.numerator, r.denominator)
+                         for a in anchors for r in [(a - lo) / (hi - lo)]]
+        for geom, (d, (j,)), nest in seen:
+            # exact closed-interval containment: at most one anchor, at a
+            # corner of the piece, and only in the cell tagged there
+            held = [a for a, p, q in rel[geom] if j * q <= p << d <= (j + 1) * q]
+            assert len(held) == (nest is not None), (boxes[geom], d, j)
+            if held:
+                assert held[0] in boxes[geom], (boxes[geom], d, j)
+                assert nest.floats == (float(held[0]),) and (j,) == nest.cell(d), (d, j)
+        assert max(d for _, (d, _), nest in seen if nest is not None) > 53
+        # past depth 53 the float of 1/3 lands in another cell
         third = Fraction(1, 3)
         assert any(math.floor(float(third) * 2**d) != math.floor(third * 2**d)
                    for d in range(54, hk.CHAIN_DEPTH_CAP + 4))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="false convergence when every depth-1 cell holds a "
-                   "declared anchor; ROADMAP item 3 replaces the nest logic")
 def test_anchors_in_every_depth_1_cell_do_not_converge_falsely():
     anchors = (Fraction(1, 4), Fraction(1, 3), Fraction(5, 7))
 
@@ -292,29 +281,39 @@ NEST_DIGESTS = [
     ("inv-sqrt-at-0", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(0),)), LENGTH, Box.unit(), tol=1e-6),
      "1b14fe2fa39fc662d3cbd3661fa6bf380dc96c749061bd7a7f8fd94457ad2266"),
+    # points at the other corners of their boxes: the upper corner on one
+    # axis and the lower on the other, the upper end of a table's box, and
+    # an end that is not dyadic
+    ("2d-r^-1/2-at-(1,0)", lambda: hk_integrate(
+        _r_inv_sqrt((1, 0)), None, Box.unit(2), tol=1e-2),
+     "b778a79e80bae298483ccc7a9c50537622a6f29b9c408cf4a31215f1bffad31d"),
+    ("table-inv-sqrt-at-1", lambda: indefinite_hk(
+        _inv_sqrt_gaps((1,)), None, Box.unit(), depth=4, tol=1e-6),
+     "2fd0f011d2c8db47bc7990848a96eca0715fb59411e4ab4199fbff057d7cd086"),
+    ("inv-sqrt-at-1/3-on-[0,1/3]", lambda: hk_integrate(
+        _inv_sqrt_gaps((Fraction(1, 3),)), LENGTH, Box.of((0, "1/3")), tol=1e-6),
+     "3712adf81b0db85c2851e465dbd44cc0ae3c98ba7dcb918e6b79998271d63c89"),
     ("inv-sqrt-at-1/3", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 3),)), LENGTH, Box.unit(), tol=1e-6),
-     "264e1c238c30a7f8ef3db70ab4092400d017b8a3012b029d0f47e9dcadd5c1c2"),
-    # nests at 1/4 and 1/3 share cells down to depth 3; this run probes
-    # past depth 53, where a float test would misplace 1/3
+     "e4d39f6877e3d413f128f5524ac4728c798492619c0d9ef8a12702169df883d3"),
+    # two points: four pieces, cut at 1/4, 7/24 and 1/3
     ("anchors-1/4-1/3", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 4), Fraction(1, 3))), LENGTH, Box.unit(), tol=1e-6,
         budget=20_000),
-     "5909005c6ce194dda0478fe3044aa4f75814d7abe5dab94e8019878e3687d39b"),
-    # a point on cuts of both axes: four tagged cells at every depth
+     "b31e63a10ce45c71b468aa4bd6abfae0732c3e545bae7de6fda376b78afe8a90"),
+    # a point inside a 2-D box: four pieces, each with the point at a corner
     ("2d-r^-1/2-on-a-cut", lambda: hk_integrate(
         _r_inv_sqrt((Fraction(1, 2), Fraction(1, 4))), None, Box.unit(2), tol=1e-2),
-     "b0906b0fa65b57ba05bc4fc3a1408cdeacfbc56cccf02ad365d0f4dca7e82119"),
+     "e35e8f4862c539e4f37dac4489b2763699f1fff2ac3fcea8a895b47dec2c2578"),
     ("table-anchors-1/4-1/3", lambda: indefinite_hk(
         _inv_sqrt_gaps((Fraction(1, 4), Fraction(1, 3))), None, Box.unit(), depth=5,
         tol=1e-5),
-     "1548288dab51daa5c73f45bd55ee5369c3e3127c6501c1e5c3748d53164c8192"),
-    # a point at the centre: both depth-1 cells hold it, so the nest's defect
-    # is 0 at once and the run returns 0, converged (ROADMAP item 10's false
-    # convergence; the true value is 2*sqrt(2))
+     "ccc4a248944521bca3b7a2a160cf48b0f355f86263c092da15fb1ae8b7ab38d7"),
+    # a point at the centre: two pieces (uncut, the nest's defect was 0 at
+    # once and the run returned 0, converged; the true value is 2*sqrt(2))
     ("centre-1/2", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 2),)), LENGTH, Box.unit(), tol=1e-6),
-     "62f76559d337b8fa81a21c70ea14ba5fcc6a4240eaaf11b71f67876ea8e7f972"),
+     "78e74c68be2ac82a8a9e8754fb699f5fa765e1b98c93bc9911c81a77871441ef"),
 ]
 
 
@@ -322,6 +321,105 @@ NEST_DIGESTS = [
                          ids=[c[0] for c in NEST_DIGESTS])
 def test_nest_runs_are_pinned(case, digest):
     assert hashlib.sha256(_nest_text(case()).encode()).hexdigest() == digest
+
+
+def _gaps_primitive(anchors, x) -> float:
+    """An antiderivative of `_inv_sqrt_gaps(anchors)` at the float of x."""
+    x = float(x)
+    return math.fsum(2 * math.copysign(math.sqrt(abs(x - a)), x - a) for a in map(float, anchors))
+
+
+ANCHORS_3 = (Fraction(1, 4), Fraction(1, 3), Fraction(5, 7))
+HK_PRIMITIVE = PointFunction.builtin("hk_primitive")
+# declared points inside the box or at both its ends: uncut, the point at 1/2,
+# the ends and hk_primitive returned 0.0, converged, after 15 evaluations
+CUT_RUNS = [  # (id, f, G, box, tol, the integral)
+    ("point-1/2", _inv_sqrt_gaps((Fraction(1, 2),)), LENGTH, Box.unit(), 1e-6,
+     2 * math.sqrt(2)),
+    ("points-0-and-1", _inv_sqrt_gaps((Fraction(0), Fraction(1))), LENGTH, Box.unit(), 1e-6,
+     4.0),
+    ("anchors-1/4-1/3-5/7", _inv_sqrt_gaps(ANCHORS_3), LENGTH, Box.unit(), 1e-3,
+     _gaps_primitive(ANCHORS_3, 1) - _gaps_primitive(ANCHORS_3, 0)),
+    # 2 * int_1^inf sin(t^2) / t^4 dt, by mpmath.quadosc
+    ("hk_primitive-on-[-1,1]", "hk_primitive", LENGTH, Box.of((-1, 1)), 1e-6,
+     0.4376803525377999),
+    ("hk_derivative-on-[-1/2,1]", "hk_derivative", LENGTH, Box.of(("-1/2", 1)), 1e-3,
+     HK_PRIMITIVE((1.0,)) - HK_PRIMITIVE((-0.5,))),
+    # by mpmath.quad over the four pieces
+    ("2d-r^-1/2-at-(1/2,1/4)", _r_inv_sqrt((Fraction(1, 2), Fraction(1, 4))), None,
+     Box.unit(2), 1e-2, 1.6994359903351159),
+]
+
+
+@pytest.mark.parametrize("f,G,box,tol,exact", [c[1:] for c in CUT_RUNS],
+                         ids=[c[0] for c in CUT_RUNS])
+def test_runs_cut_at_declared_points_converge_within_tol(f, G, box, tol, exact):
+    result = hk_integrate(f, G, box, tol=tol)
+    assert result.converged
+    assert abs(result.value - exact) <= tol
+
+
+@pytest.mark.parametrize("depth", [0, 3, 5])
+@pytest.mark.parametrize("anchors", [(Fraction(1, 2),), (Fraction(1, 3),), ANCHORS_3[:2]],
+                         ids=["1/2", "1/3", "1/4-1/3"])
+def test_tables_cut_at_declared_points_meet_tol_in_every_cell(anchors, depth):
+    table = indefinite_hk(_inv_sqrt_gaps(anchors), None, Box.unit(), depth=depth, tol=1e-3)
+    assert table.result.converged
+    assert len(table.entries) == 2 ** (depth + 1) - 1
+    for _, cell, value in table.entries.by_depth():
+        (lo, hi), = cell.intervals
+        assert abs(value - (_gaps_primitive(anchors, hi) - _gaps_primitive(anchors, lo))) <= 1e-3
+
+
+def test_a_cut_run_at_the_budget_of_its_floor_spends_exactly_that():
+    # the floor is the pieces' roots (15 probes each in 1-D, 85 in 2-D, 585
+    # in 3-D) or the halves' forced grids; below it no f is evaluated
+    calls = []
+
+    def one(x):
+        calls.append(x)
+        return 1.0
+
+    f3 = PointFunction.from_callable(one, "one", dim=3,
+                                     singular_points=(ANCHORS_3[:1] * 3, ANCHORS_3[1:2] * 3))
+    with pytest.raises(ValueError, match="the roots of 64 piece.s. take 37440 evaluations"):
+        hk_integrate(f3, None, Box.unit(3), budget=1000)
+    assert calls == []
+    # (run at a budget, its floor, one refinement of each of its trees)
+    for run, floor, refines in [
+            (lambda b: hk_integrate(_inv_sqrt_gaps((Fraction(1, 2),)), LENGTH, Box.unit(),
+                                    budget=b), 2 * 15, 2 * 16),
+            (lambda b: hk_integrate(_r_inv_sqrt((Fraction(1, 2), Fraction(1, 4))), None,
+                                    Box.unit(2), budget=b), 4 * 85, 4 * 256),
+            # [0,1/2] at depth 2 cut at 1/3: its halves' grids 31 and 15 + 2 * 15
+            (lambda b: indefinite_hk(_inv_sqrt_gaps((Fraction(1, 3),)), None, Box.unit(),
+                                     depth=3, budget=b).result, 76 + 63, 5 * 16)]:
+        with pytest.raises(ValueError, match=f"{floor} evaluations"):
+            run(floor - 1)
+        result = run(floor)
+        assert result.evaluations == floor and not result.converged
+        for budget in (floor + 1, 2 * floor, 10 * floor):
+            assert run(budget).evaluations <= budget + refines
+    # flat halves spend edge-gap corners past their share; the second half
+    # still gets its own forced grid
+    f = PointFunction.from_callable(lambda x: 1.0, "one", singular_points=(Fraction(1, 2),))
+    assert len(indefinite_hk(f, None, Box.unit(), depth=3, budget=126).entries) == 2**4 - 1
+
+
+def test_a_cut_table_counts_its_depth_from_its_box():
+    # the halves of a depth-1 table of a point at 1/3 are depth-0 tables,
+    # and the one that holds 1/3 is cut into two pieces
+    table = indefinite_hk(_inv_sqrt_gaps((Fraction(1, 3),)), None, Box.unit(), depth=1,
+                          tol=1e-3)
+    halves = [indefinite_hk(_inv_sqrt_gaps((Fraction(1, 3),)), None, half, depth=0,
+                            tol=5e-4) for half in Box.unit().bisect()]
+    assert table.result.max_depth == 1 + max(t.result.max_depth for t in halves)
+
+
+def test_points_cut_at_a_small_budget_do_not_claim_convergence():
+    result = hk_integrate(_inv_sqrt_gaps(ANCHORS_3[:2]), LENGTH, Box.unit(), tol=1e-6,
+                          budget=20_000)
+    assert not result.converged
 
 
 class TestIndefinite:
