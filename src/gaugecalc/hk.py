@@ -27,12 +27,15 @@ interior-tag rule provably stalls.
 
 A run stops when the summed defects and the change between two successive
 global sums are both below tol/2.  An indefinite table first refines every
-leaf down to its grid depth, known up front, so it goes a whole level at a
-time: f takes the level's new probes in one `PointFunction.eval_block`
-call, into one flat float list, with one G value per level when G is the
-volume.  The probes, leaves and running sums are those of refining leaf by
-leaf, and in the same order, except the edge-gap corners, which come after
-the level's probes.  These forced grid levels count as refinement rounds,
+cell down to its grid depth, known up front, so it goes a whole level at a
+time on flat float lists: f takes the level's new probes in one
+`PointFunction.eval_block` call, with one G value per level when G is the
+volume.  The probes, running sums, rings and grid leaves are those of
+refining leaf by leaf, and in the same order, except the edge-gap corners,
+which come after the level's probes.  No leaf exists above the grid depth
+but the nest's, and a grid leaf's probe caches are sliced from the last
+three lists on its first refinement, so a table that converges at its grid
+depth builds none.  These forced grid levels count as refinement rounds,
 so a table whose grid already meets tol stops at its grid depth; past it,
 the adaptive phase refines leaf by leaf.
 
@@ -54,6 +57,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .funcspace import IntervalFunction, PointFunction
@@ -218,8 +222,9 @@ class _Leaf:
         self.value = value
         self.defect = defect
         # cached probes (key, singular, s1) one/two/three levels down,
-        # flat in nested child order; reused by the children on refinement
-        # (None above an indefinite table's grid depth, where `force_grid` refines)
+        # flat in nested child order; reused by the children on refinement.
+        # None on a leaf at an indefinite table's grid depth until its first
+        # refinement (`_Tree.caches`); no leaf exists above that depth.
         self.l2 = l2
         self.l3 = l3
         self.l4 = l4
@@ -230,18 +235,37 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
     if G.kind == "volume":
         return geom.volume
     if G.kind == "corner":
-        fast = G.generator.fast_eval
-        if geom.dim == 1:
+        gen, fast = G.generator, G.generator.fast_eval
+
+        def at(corner, x):
+            """g at a corner whose floats on the grid are x: exactly where they
+            are not the corner, at a box end that x may put across a jump of
+            g (heaviside_c on [0, c])."""
+            v = None
+            if x != corner:
+                try:
+                    v = gen.eval_exact(tuple(map(Fraction, corner)))
+                except (ValueError, ArithmeticError):
+                    pass
+            return fast(x) if v is None else float(v)
+
+        if geom.dim == 1:  # g at the box's ends, read once
+            (lo, hi), = geom.box.intervals
+            g_lo, g_hi = at((lo,), (geom.lo[0],)), at((hi,), (geom.lo[0] + geom.width[0],))
+
             def g_eval(key):
-                (lo, hi), = geom.bounds(key)
-                return fast((hi,)) - fast((lo,))
+                d, (j,) = key
+                (a, b), = geom.bounds(key)
+                return (g_hi if j + 1 == 1 << d else fast((b,))) - (fast((a,)) if j else g_lo)
             return g_eval
         # sign (-1)^(#lo coords), in the (lo, hi) product order of the corners
         signs = [-1.0 if bits.count(0) % 2 else 1.0 for bits in geom.bits]
 
-        def g_eval(key):
-            corners = itertools.product(*geom.bounds(key))
-            return fsum([s * fast(c) for s, c in zip(signs, corners)])
+        def g_eval(key):  # each corner as (exact, float) per axis
+            d, js = key
+            axes = [((lo if j == 0 else a, a), (hi if j + 1 == 1 << d else b, b))
+                    for (a, b), j, (lo, hi) in zip(geom.bounds(key), js, geom.box.intervals)]
+            return fsum([s * at(*zip(*c)) for s, c in zip(signs, itertools.product(*axes))])
         return g_eval
 
     read = G.on_grid(geom)  # a table on the integration box by (d, js)
@@ -270,6 +294,7 @@ class _Tree:
         self.heap = []  # (-defect, key) for refinable regular leaves
         self.sum_values = 0.0
         self.sum_defects = 0.0  # regular leaves only
+        self.grid_probes = None  # force_grid's last three probe lists, by depth
         points = [p for p in getattr(f, "singular_points", ()) if box.contains(p)]
         self.nest = _Nest(points[0], box) if points else None
 
@@ -307,27 +332,6 @@ class _Tree:
         except (ValueError, ArithmeticError) as e:
             raise TagEvalError(tag, self.geom.cell(*key), e) from e
         return singular, fv * self.g_eval(key)
-
-    def _probe_level(self, cells, v4, g):
-        """s1 of the probes three levels below each cell (c, key, nest) of
-        `cells` into v4, at c's slice in nested order, with f evaluated as
-        one block; `g` is their G value when G is the volume, else None."""
-        geom, n, tags = self.geom, 8**self.geom.dim, []
-        for _, key, nest in cells:  # only a tagged cell can hold a tagged cell
-            corner = nest and nest.cell(key[0] + 3)
-            tags += [nest.floats if k[1] == corner else geom.center(k) for k in
-                     geom.descendants(key, 3)] if nest else geom.centers(key, 3)
-        self.evals += len(tags)
-        fvals = []
-        try:
-            self.f_block(tags, fvals)
-        except (ValueError, ArithmeticError) as e:
-            bad = len(fvals)
-            cell = geom.cell(*geom.descendants(cells[bad // n][1], 3)[bad % n])
-            raise TagEvalError(tags[bad], cell, e) from e
-        for i, (c, key, _) in enumerate(cells):
-            gs = [g] * n if g is not None else map(self.g_eval, geom.descendants(key, 3))
-            v4[c * n:(c + 1) * n] = [fv * gv for fv, gv in zip(fvals[i * n:(i + 1) * n], gs)]
 
     # -- leaf management
 
@@ -416,65 +420,112 @@ class _Tree:
             return leaf.ring
         return leaf.singular, len(leaf.singular.masses)
 
+    def caches(self, leaf):
+        """The leaf's cached probes one, two and three levels down; a leaf
+        of `force_grid` gets them here, on first use, as slices of the
+        grid's last three probe lists, with the nest's probe tagged."""
+        if leaf.l2 is None:
+            geom, (d, js), nest = self.geom, leaf.key, leaf.singular
+            c, caches = geom.index(d, js), []
+            for r, v in enumerate(self.grid_probes, 1):
+                n, corner = 2 ** (geom.dim * r), nest and nest.cell(d + r)
+                caches.append([(k, nest if k[1] == corner else None, s1) for k, s1 in
+                               zip(geom.descendants(leaf.key, r), v[c * n:(c + 1) * n])])
+            leaf.l2, leaf.l3, leaf.l4 = caches
+        return leaf.l2, leaf.l3, leaf.l4
+
     def refine(self, leaf):
         m = 2**self.geom.dim
+        l2, l3, l4 = self.caches(leaf)
         ring = self.open_ring(leaf)
-        for i, (ck, csing, cs1) in enumerate(leaf.l2):
+        for i, (ck, csing, cs1) in enumerate(l2):
             self.make_leaf(ck, probe=(csing, cs1),
-                           l2=leaf.l3[i * m:(i + 1) * m],
-                           l3=leaf.l4[i * m * m:(i + 1) * m * m],
+                           l2=l3[i * m:(i + 1) * m],
+                           l3=l4[i * m * m:(i + 1) * m * m],
                            ring=None if csing is not None else ring)
 
     def force_grid(self, root, depth):
-        """Refine every leaf, level by level, from `root` down to `depth`;
+        """Refine every cell, level by level, from `root` down to `depth`;
         returns the total before the last level.
 
-        The leaves, rings and running sums are those of refining each
-        level's leaves in key order, and f sees the same tags in the same
-        order, except that a level's probes are one `eval_block` call made
-        before its leaves, so their edge-gap corners come after it.  The
-        probes go into one flat float list per level, at their cells'
-        positions in nested order below the root, so a leaf's probes one,
-        two and three levels down are slices, and the (key, singular, s1)
-        caches that `refine` reads are built at `depth` only.
+        A level is one tag list, one `eval_block` call and one flat float
+        list of probes, at their cells' positions in nested order below the
+        root (`DyadicGrid.index`), so a cell's probes one, two and three
+        levels down are slices of the last three lists.  The running sums
+        and rings take the steps of refining each level's cells in key
+        order, and f sees the same tags in the same order, except that a
+        level's edge-gap corners come after its probes.  Above `depth` no
+        leaf is made but the nest's, which `update_nest` reads; the leaves
+        at `depth` get their probe caches from `caches`, on first refinement.
         """
         geom, m, nest = self.geom, 2**self.geom.dim, self.nest
+        n, volume = m**3, self.g_eval == geom.volume
         vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
-        level = [(root, 0)]  # the leaves in key order, with their indices
+        # the level's cells in key order, as nested positions, and each
+        # one's (value, defect, ring), or None for a leaf: the root, the nest's
+        order, above = [0], [None]
         for d in range(depth):
             if d + 1 == depth:  # the first convergence check's previous total
                 self.update_nest()
                 prev = self.total()[0]
-            v1, v2, v3 = vals
-            v4, corner = [0.0] * (len(v3) * m), nest and nest.cell(d + 1)
-            # one G value per level when G is the volume
-            g = self.g_eval((d + 4, (0,) * geom.dim)) if self.g_eval == geom.volume else None
-            kids = [(leaf, [(c, key, nest if key[1] == corner else None) for c, key in
-                            enumerate(geom.children(leaf.key), o * m)]) for leaf, o in level]
-            self._probe_level([cell for _, cells in kids for cell in cells], v4, g)
-            below = []
-            for leaf, cells in kids:
-                ring = self.open_ring(leaf)
-                for c, key, singular in cells:
-                    s1, s2 = v1[c], fsum(v2[c * m:(c + 1) * m])
-                    value, defect = self._estimate(
-                        key, singular, s1, s2, fsum(v3[c * m * m:(c + 1) * m * m]),
-                        fsum(v4[c * m**3:(c + 1) * m**3]))
-                    crng = None if singular is not None else ring
-                    below.append((key, self.add_leaf(_Leaf(key, singular, s1, s2, value,
-                                                           defect, None, None, None, crng)), c))
-            vals = [v2, v3, v4]
-            level = [(leaf, c) for _, leaf, c in sorted(below)]
-        # the probe caches of the grid leaves, as slices of one list per level
-        caches = []
-        for r, v in zip((1, 2, 3), vals):
-            probes = list(zip(geom.descendants(root.key, depth + r), itertools.repeat(None), v))
+            (v1, v2, v3), keys = vals, geom.descendants(root.key, d + 1)
+            kids = [c for p in order for c in range(p * m, p * m + m)]
+            # f sees the probes in key order of their parents, in 1-D the nested order
+            perm = None if geom.dim == 1 else [i for c in kids for i in range(c * n, c * n + n)]
+            tags = geom.centers(root.key, d + 4)
             if nest is not None:
-                p = geom.index(depth + r, nest.cell(depth + r))
-                probes[p] = (probes[p][0], nest, v[p])
-            caches.append((m**r, probes))
-        for leaf, c in level:
-            leaf.l2, leaf.l3, leaf.l4 = [ps[c * n:(c + 1) * n] for n, ps in caches]
+                tags[geom.index(d + 4, nest.cell(d + 4))] = nest.floats
+            tags = tags if perm is None else [tags[i] for i in perm]
+            self.evals += len(tags)
+            fvals = []
+            try:
+                self.f_block(tags, fvals)
+            except (ValueError, ArithmeticError) as e:
+                bad = len(fvals)
+                cell = geom.cell(*geom.descendants(keys[kids[bad // n]], 3)[bad % n])
+                raise TagEvalError(tags[bad], cell, e) from e
+            if perm is not None:  # back to nested order
+                fvals = [fv for _, fv in sorted(zip(perm, fvals))]
+            if volume:  # one G value per level
+                g = geom.volume((d + 4, (0,) * geom.dim))
+                v4 = [fv * g for fv in fvals]
+            else:
+                gs = map(self.g_eval, geom.descendants(root.key, d + 4))
+                v4 = [fv * gv for fv, gv in zip(fvals, gs)]
+            spot = -1 if nest is None else geom.index(d + 1, nest.cell(d + 1))  # the nest's cell
+            cells = [None] * len(keys)
+            for p in order:
+                if above[p] is None:
+                    ring = self.open_ring(self.leaves[nest.key] if d else root)
+                else:  # drop_leaf's sums, with no leaf
+                    value, defect, ring = above[p]
+                    self.sum_values -= value
+                    self.sum_defects -= defect
+                    if ring is not None:
+                        nest.masses[ring[1]] -= value
+                        nest.defects[ring[1]] -= defect
+                for c in range(p * m, p * m + m):
+                    key, singular = keys[c], nest if c == spot else None
+                    s1, s2 = v1[c], fsum(v2[c * m:c * m + m])
+                    value, defect = self._estimate(key, singular, s1, s2,
+                                                   fsum(v3[c * m * m:(c + 1) * m * m]),
+                                                   fsum(v4[c * n:c * n + n]))
+                    if singular is None and d + 1 < depth:  # add_leaf's sums, with no leaf
+                        self.sum_values += value
+                        self.sum_defects += defect
+                        if ring is not None:
+                            if ring[1] == len(nest.masses):  # the nest's next ring
+                                nest.masses.append(0.0)
+                                nest.defects.append(0.0)
+                            nest.masses[ring[1]] += value
+                            nest.defects[ring[1]] += defect
+                        cells[c] = value, defect, ring
+                        continue
+                    self.add_leaf(_Leaf(key, singular, s1, s2, value, defect, None, None, None,
+                                        None if singular is not None else ring))
+            order = kids if perm is None else sorted(range(len(keys)), key=keys.__getitem__)
+            above, vals = cells, [v2, v3, v4]
+        self.grid_probes = vals
         return prev
 
     # -- totals

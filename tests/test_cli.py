@@ -215,6 +215,9 @@ OUTPUT_DIGESTS = [
     # `cumulative` over a depth-6 table
     (["identity", "constancy", "--depth", "6"],
      "6af0310f2b0cd0663ffc5abb016607a4bde7ec55157c6bd88d173b73883a89ef"),
+    # a jump of G at a box end that is not a float: 1/3, not 0.0
+    (["integrate", "--f", "x", "--G", "heaviside_1/3", "--box", '[0,"1/3"]', "--tol", "1e-9"],
+     "4e19a16e6731c77df7e720b52a934f3c024c55b5d816ab5a52ceefba0fa58f21"),
 ]
 
 

@@ -471,11 +471,11 @@ def tree_state(tree, prev):
         return None if n is None else 0
 
     def probes(cache):
-        return None if cache is None else [(k, nest(s), v.hex()) for k, s, v in cache]
+        return [(k, nest(s), v.hex()) for k, s, v in cache]
 
     leaves = [(lf.key, nest(lf.singular), lf.s1.hex(), lf.s2.hex(), lf.value.hex(),
                lf.defect.hex(), lf.ring and (nest(lf.ring[0]), lf.ring[1]),
-               probes(lf.l2), probes(lf.l3), probes(lf.l4))
+               *map(probes, tree.caches(lf)))
               for lf in tree.leaves.values()]
     live = sorted((neg, key) for neg, key in tree.heap if key in tree.leaves
                   and tree.leaves[key].singular is None and -neg == tree.leaves[key].defect)
@@ -488,17 +488,32 @@ def tree_state(tree, prev):
             tree.sum_values.hex(), tree.sum_defects.hex())
 
 
-def forced_grid(cls, f, box, depth):
-    tree = cls(f, IntervalFunction.volume(box.dim), box, 10**7)
+@functools.cache
+def x2_table():
+    """The exact increments of x^2 on the unit interval's dyadic cells to
+    depth 9, as a table G."""
+    exact = IntervalFunction.from_generator("x^2")
+    cells = [c for d in range(10) for c in dyadic_cells(Box.unit(), d)]
+    return IntervalFunction.table({c: exact.value(c) for c in cells}, Box.unit(), 9,
+                                  name="x^2 table")
+
+
+def resolve_G(G, dim):
+    """None (the volume), a corner generator's source, or "x^2 table"."""
+    return x2_table() if G == "x^2 table" else IntervalFunction.resolve(G, dim)
+
+
+def forced_grid(cls, f, box, depth, G=None):
+    tree = cls(f, resolve_G(G, box.dim), box, 10**7)
     root = tree.make_leaf((0, (0,) * box.dim))
     return tree_state(tree, tree.force_grid(root, depth) if depth > 0 else None)
 
 
-def table_state(monkeypatch, cls, source, box, depth, tol, dim=1):
+def table_state(monkeypatch, cls, source, box, depth, tol, dim=1, G=None):
     f, calls = recorded(source, dim)
     with monkeypatch.context() as m:
         m.setattr(hk, "_Tree", cls)
-        table = indefinite_hk(f, None, box, depth=depth, tol=tol)
+        table = indefinite_hk(f, resolve_G(G, dim), box, depth=depth, tol=tol)
     return bits(table.entries), table.result, calls
 
 
@@ -510,21 +525,27 @@ FORCED_CASES = [
     ("peak_2d", BOX_2D, 2, 1e-2),
     # every composite sum of a constant agrees: the edge gap evaluates the corners
     ("5/4", BOX_1D, 5, 1e-9),
+    # G other than the volume: a jump inside the box, and a table read by
+    # index; each refines past its grid, and so does the 2-D quintic
+    ("x^3-x/3", BOX_1D, 4, 1e-9, "heaviside_2/5"),
+    ("x^3-x/3", Box.unit(), 3, 1e-6, "x^2 table"),
+    ("x1^5*x2^3", BOX_2D, 2, 1e-6),
 ]
 
 
-@pytest.mark.parametrize("source,box,depth,tol", FORCED_CASES,
-                         ids=[f"{c[0]}-{c[1].dim}d-depth{c[2]}" for c in FORCED_CASES])
-def test_forced_grid_equals_the_per_leaf_loop(source, box, depth, tol, monkeypatch):
+@pytest.mark.parametrize("source,box,depth,tol,G", [(*c, None)[:5] for c in FORCED_CASES],
+                         ids=[f"{c[0]}-{c[1].dim}d-depth{c[2]}" + "".join(f"-{g}" for g in c[4:])
+                              for c in FORCED_CASES])
+def test_forced_grid_equals_the_per_leaf_loop(source, box, depth, tol, G, monkeypatch):
     runs = []
     for cls in (hk._Tree, PerLeafTree):
         f, calls = recorded(source, box.dim)
-        runs.append((forced_grid(cls, f, box, depth), calls))
+        runs.append((forced_grid(cls, f, box, depth, G), calls))
     assert runs[0] == runs[1]
     entries, result, calls = table_state(monkeypatch, hk._Tree, source, box, depth, tol,
-                                         box.dim)
+                                         box.dim, G)
     assert (entries, result, calls) == table_state(monkeypatch, PerLeafTree, source, box,
-                                                   depth, tol, box.dim)
+                                                   depth, tol, box.dim, G)
     assert len(entries) == sum(2**(box.dim * d) for d in range(depth + 1))
 
 
@@ -534,10 +555,30 @@ def test_the_forced_cases_reach_edge_gaps_and_the_adaptive_phase():
     f, calls = recorded("5/4")
     result = indefinite_hk(f, None, BOX_1D, depth=5, tol=1e-9).result
     assert result.evaluations == len(calls) == 2**9 - 1 + 2 * 63
-    # a nest, and a cubic at a tight tol, refine past the grid from its caches
-    for source, depth, tol in [("inv_sqrt", 6, 1e-6), ("x^3-x/3", 3, 1e-9)]:
-        result = indefinite_hk(source, None, Box.unit(), depth=depth, tol=tol).result
+    # a nest, a cubic at a tight tol, the non-volume G and the 2-D quintic
+    # refine past the grid from its caches
+    for source, box, depth, tol, G in [("inv_sqrt", Box.unit(), 6, 1e-6, None),
+                                       ("x^3-x/3", Box.unit(), 3, 1e-9, None),
+                                       ("x^3-x/3", BOX_1D, 4, 1e-9, "heaviside_2/5"),
+                                       ("x^3-x/3", Box.unit(), 3, 1e-6, "x^2 table"),
+                                       ("x1^5*x2^3", BOX_2D, 2, 1e-6, None)]:
+        result = indefinite_hk(source, resolve_G(G, box.dim), box, depth=depth, tol=tol).result
         assert result.max_depth > depth
+
+
+def test_a_table_that_converges_on_its_grid_builds_no_probe_cache():
+    # a roundtrip-style monotone quadratic at depth 10: 2^14 - 1 grid probes
+    tree = hk._Tree(PointFunction.resolve("3/2*x - x^2/4"), IntervalFunction.length(),
+                    Box.unit(), hk.EVAL_BUDGET_DEFAULT)
+    result = tree.run(1e-10, min_depth=10)
+    assert result.converged and result.max_depth == 10
+    assert result.evaluations == 2**14 - 1 and len(tree.leaves) == 2**10
+    assert all(lf.l2 is lf.l3 is lf.l4 is None for lf in tree.leaves.values())
+    # refining a grid leaf builds its caches, as slices of the grid's probes
+    leaf = tree.leaves[(10, (5,))]
+    l2, l3, l4 = tree.caches(leaf)
+    assert [k for k, _, _ in l4] == DyadicGrid(Box.unit(), 13).descendants(leaf.key, 3)
+    assert [v for _, _, v in l2] == tree.grid_probes[0][10:12]
 
 
 def test_a_failing_tag_mid_grid_raises_as_the_per_leaf_loop():

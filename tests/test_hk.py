@@ -113,6 +113,22 @@ class TestHkIntegrate:
         assert result.converged
         assert result.value == pytest.approx(oracle, abs=1e-9)
 
+    def test_stieltjes_jump_at_an_end_that_is_not_a_float(self):
+        # float(1/3) < 1/3, so read on the float end the jump of H at 1/3
+        # fell outside [0, 1/3] and inside [1/3, 1]; G is read at the exact end
+        G = IntervalFunction.heaviside("1/3")
+        left = hk_integrate("x", G, Box.of((0, "1/3")), tol=1e-9)
+        assert left.converged and abs(left.value - 1 / 3) <= 1e-9
+        right = hk_integrate("x", G, Box.of(("1/3", 1)), tol=1e-9)
+        assert right.converged and right.value == 0.0
+        # the unit box's ends are floats: the same bits as reading G on them
+        unit = hk_integrate("x", G, Box.unit(), tol=1e-9)
+        assert (unit.value.hex(), unit.evaluations) == ("0x1.55555556eeeefp-2", 537)
+        # in 2-D, the jump of x2 H(x1) on the box's high x1 face
+        G2 = IntervalFunction.from_generator(PointFunction.from_expr("ite(x1<1/3,0,1)*x2"))
+        face = hk_integrate("x2", G2, Box.of((0, "1/3"), (0, 1)), tol=1e-7)
+        assert face.converged and face.value == pytest.approx(0.5, abs=1e-7)
+
     def test_inv_sqrt(self):
         result = hk_integrate("inv_sqrt", LENGTH, Box.unit(), tol=1e-4)
         assert result.converged
