@@ -66,6 +66,7 @@ from .intervals import (
     DyadicGrid,
     DyadicTable,
     _diam_lt,
+    as_point,
     as_rational,
     enumerate_partitions,
     fsum,
@@ -99,12 +100,20 @@ class IntegralResult:
 
 
 def riemann_sum(f, G: IntervalFunction, tagged) -> float:
-    """sum f(tag) G(cell) over a tagged partition, in any cell order."""
-    f = PointFunction.resolve(f)
+    """sum f(tag) G(cell) over a tagged partition, in any cell order.  f
+    takes the tags in one `eval_block` call; an error names the first
+    (tag, cell) in the partition's order where f or G fails."""
+    f, items, fx, failure = PointFunction.resolve(f), list(tagged), [], None
+    try:
+        f.eval_block([point_floats(as_point(tag)) for _, tag in items], fx)
+    except (ValueError, ArithmeticError) as e:
+        failure = e  # fx holds f at the tags before the failing one
     terms = []
-    for cell, tag in tagged:
+    for i, (cell, tag) in enumerate(items):
         try:
-            terms.append(f(tag) * G.value(cell))
+            if i == len(fx):
+                raise failure
+            terms.append(float(fx[i]) * G.value(cell))
         except (ValueError, ArithmeticError) as e:
             raise TagEvalError(tag, cell, e) from e
     return fsum(terms)
@@ -855,24 +864,44 @@ def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
     Recurrence: V(Q) = max(best admissible tag value, sum V(children));
     realizes the superadditive envelope on the dyadic class.  Cells whose
     subtree admits no delta-fine configuration carry -inf.  One walk
-    serves every gauge: psi(Q, t) is evaluated at most once per (cell,
-    tag), and only when some gauge admits the pair, depth first, each cell
-    before its children.  The levels are then summed bottom-up by index.
-    The residual psi of `residual_cell_fn` is read by index; any other
-    psi is called with the cell's Box, built once per cell.
+    serves every gauge: depth first, each cell before its children, it
+    keeps the (cell, tag) pairs that some gauge admits, a tag as its point
+    key (`DyadicGrid.admitted`), and each pair is then scored once, in the
+    walk's order, so a gauge's error comes before psi's.  The residual psi
+    of `residual_cell_fn` is read by index: its f takes the admitted tags'
+    floats in one `eval_block` call, in the order first admitted.  Any
+    other psi is called with the cell's Box and the exact tag.  The levels
+    are then summed bottom-up by index.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
     grid, m = DyadicGrid(box, depth + 1, gauges), 2**box.dim
-    score = psi.on_grid(grid) if isinstance(psi, _Residual) else None
     levels = [[[-math.inf] * m**d for d in range(depth + 1)] for _ in gauges]
-    for d, js in grid.walk(depth):
-        i, cell = grid.index(d, js), None if score else grid.cell(d, js)
-        for key, tag, admits in grid.admitted(d, js):
-            if admits:
-                v = abs(score(d, js, key, tag) if score else psi(cell, tag))
-                for g in admits:
-                    levels[g][d][i] = max(levels[g][d][i], v)
+    walk, points, pairs, counts = grid.walk(depth), {}, [], []
+    for d, js in walk:  # pairs: (position in points, gauge mask), flat
+        start = len(pairs)
+        for key, mask in grid.admitted(d, js):
+            if mask:
+                pairs += (points.setdefault(key, len(points)), mask)
+        counts.append((len(pairs) - start) // 2)
+    residual = isinstance(psi, _Residual)
+    keys, stream = list(points), zip(*[iter(pairs)] * 2)
+    if residual:
+        fx = list(map(float, psi.f.eval_block(
+            [tuple((a + k * b) / c for k, (a, b, c) in zip(key, grid.axes)) for key in keys])))
+        read_G, read_F = psi.G.on_grid(grid), psi.F.on_grid(grid)
+    for (d, js), n in zip(walk, counts):
+        if n:
+            i = grid.index(d, js)
+            if residual:
+                gq, fq = read_G(d, js), read_F(d, js)
+            else:
+                cell = grid.cell(d, js)
+            for p, mask in itertools.islice(stream, n):
+                v = abs(fx[p] * gq - fq if residual else psi(cell, grid.tag(keys[p])))
+                for g, table in enumerate(levels):
+                    if mask >> g & 1:
+                        table[d][i] = max(table[d][i], v)
     for table in levels:  # -inf propagates through the sums
         for d in range(depth - 1, -1, -1):
             below = table[d + 1]
@@ -913,27 +942,14 @@ class _Residual:
             v = self.fx[tag] = self.f(tag)
         return v * self.G.value(box) - self.F.value(box)
 
-    def on_grid(self, grid: DyadicGrid) -> Callable:
-        """score(d, js, point key, tag) = psi(cell (d, js), tag), with G and
-        F read by index and f(tag) computed once per grid point."""
-        read_G, read_F, f, fx = self.G.on_grid(grid), self.F.on_grid(grid), self.f, {}
-
-        def score(d, js, key, tag):
-            try:
-                v = fx[key]
-            except KeyError:
-                v = fx[key] = f(tag)
-            return v * read_G(d, js) - read_F(d, js)
-
-        return score
-
 
 def residual_cell_fn(f, G: IntervalFunction, F: IntervalFunction) -> Callable:
     """Psi(Q, x) = f(x) G(Q) - F(Q), the Henstock-lemma residual.
 
     f(x) is computed once per tag: the cells of a dyadic walk share their
     corner and center tags.  `delta_variation_dp_tables` reads this psi
-    (not a wrapper of it) by cell index, without a Box per cell."""
+    (not a wrapper of it) by cell index and point key, with no Box or exact
+    tag built, and f takes every admitted tag in one block."""
     return _Residual(f, G, F)
 
 

@@ -381,12 +381,19 @@ class Gauge:
             raise ValueError(f"gauge {self.label} is {value} at {point_floats(point)}")
         return value
 
+    def on_grid(self, grid: "DyadicGrid") -> Callable:
+        """read(key) = self(grid.tag(key)) at a point key of `grid`; a constant
+        and a 1-D piecewise gauge read the key with no Fraction built."""
+        return lambda key: self(grid.tag(key))
+
     @classmethod
     def constant(cls, value: float) -> "Gauge":
         value = float(value)
         if not value > 0.0:
             raise ValueError("gauge constant must be strictly positive")
-        return cls(lambda _p: value, label=f"const {value}")
+        g = cls(lambda _p: value, label=f"const {value}")
+        g.on_grid = lambda grid: lambda key: value
+        return g
 
     @classmethod
     def from_function(cls, fn: Callable, label: str = "gauge") -> "Gauge":
@@ -410,29 +417,34 @@ class Gauge:
         if not floor > 0.0:
             raise ValueError("floor must be strictly positive")
         table = sorted((as_rational(x), float(v)) for x, v in samples)
+        for x, v in table:
+            if math.isnan(v):
+                raise ValueError(f"{label} has a nan value at x = {x}")
         xs = [x for x, _ in table]
         vs = [v for _, v in table]
+
+        def lookup(keys, q):  # keys: the samples' x, or any key of the same order
+            i = bisect.bisect_left(keys, q)
+            near = vs[i:i + 1] if i < len(keys) and keys[i] == q else vs[i - (i > 0):i + 1]
+            return max(min(near, default=floor), floor)
 
         def call(point):
             if len(point) != 1:
                 raise DimensionMismatchError("piecewise_1d gauge is one-dimensional")
-            x = point[0]
-            if not xs:
-                return floor
-            i = bisect.bisect_left(xs, x)
-            if i < len(xs) and xs[i] == x:
-                return max(vs[i], floor)
-            left = vs[i - 1] if i > 0 else None
-            right = vs[i] if i < len(xs) else None
-            if left is None:
-                return max(right, floor)
-            if right is None:
-                return max(left, floor)
-            return max(min(left, right), floor)
+            return lookup(xs, point[0])
+
+        def on_grid(grid):
+            if grid.dim != 1:
+                return Gauge.on_grid(g, grid)
+            # x at u grid steps (u exact) is 2 ceil(u) - [u not an integer]:
+            # below 2k when x is below point k, and 2k when x is point k
+            (a, b, c), = grid.axes
+            keys = [2 * m + (r > 0) for m, r in (divmod(x.numerator * c - a * x.denominator,
+                                                        b * x.denominator) for x in xs)]
+            return lambda key: lookup(keys, 2 * key[0])
 
         g = cls(call, label=label)
-        g.samples = table
-        g.floor = floor
+        g.samples, g.floor, g.on_grid = table, floor, on_grid
         return g
 
 
@@ -442,11 +454,13 @@ class DyadicGrid:
     Cell (d, js) is the product over the axes of [lo + j w_d, lo + (j+1) w_d],
     w_d = (hi - lo) / 2^d.  Every dyadic walk keys its cells by (d, js) and
     asks the grid for their geometry: float bounds, center and volume for
-    the integrator's probes, exact coordinates for a `Box`.  Each coordinate
-    and candidate tag is built once, and each gauge called once per tag.
+    the integrator's probes, exact coordinates for a `Box`.  A candidate tag
+    is a point key, its integer indices on the depth-top grid: each gauge
+    reads a key once (`Gauge.on_grid`), and the exact tag is built (`tag`)
+    only for a tag that leaves the grid, each coordinate once.
     All depth-d cells share the volume and squared diameter of the depth's
-    first cell, so `_diam_lt` is decided once per depth and gauge value, and
-    `cell` presets the volume where its cached_property keeps it.
+    first cell, so `_diam_lt` is decided once per depth and tuple of gauge
+    values, and `cell` presets the volume where its cached_property keeps it.
     """
 
     def __init__(self, box: Box, top: int, gauges: Sequence = ()):
@@ -454,13 +468,15 @@ class DyadicGrid:
         self.lo = [float(lo) for lo, _ in box.intervals]
         self.width = [float(hi - lo) for lo, hi in box.intervals]
         self.vol0 = math.prod(self.width)
-        self.points = {}  # index tuple on the depth-top grid -> (tag, deltas)
+        self.points = {}  # point key -> the gauges' deltas there
         first = self.first = {}  # depth -> the first cell built at that depth
-        self.fine = cache(lambda d, delta: _diam_lt(first[d], delta))
+        self.mask = cache(lambda d, deltas: sum(  # bit g: gauge g is fine on a depth-d cell
+            1 << g for g, delta in enumerate(deltas) if _diam_lt(first[d], delta)))
         # the float of the exact volume of a depth-d cell, which in n-D is
         # not always `volume`'s float product (0.75 * 0.8 != 0.6)
         self.cell_volume = cache(lambda d: float(box.volume / 2 ** (d * self.dim)))
         self.bits = list(itertools.product((0, 1), repeat=self.dim))
+        self.readers = [g.on_grid(self) for g in gauges]
 
     @cached_property
     def axes(self) -> list:
@@ -478,6 +494,10 @@ class DyadicGrid:
         """coord(i, k): coordinate k of the depth-top grid on axis i, built once."""
         axes = self.axes
         return cache(lambda i, k: Fraction(axes[i][0] + k * axes[i][1], axes[i][2]))
+
+    def tag(self, key) -> Point:
+        """The exact point of a point key."""
+        return tuple(self.coord(i, k) for i, k in enumerate(key))
 
     def key(self, box: Box) -> Optional[tuple]:
         """(d, js) of `box` when it is a cell of the grid, else None: its
@@ -597,20 +617,19 @@ class DyadicGrid:
         return [self.center(k) for k in self.descendants(key, r)]
 
     def admitted(self, d: int, js) -> Iterator:
-        """(point key, tag, indices of the gauges fine there) for each
-        candidate tag of cell (d < top, js), lazily: the center, then
-        `Box.corners` order.  The key is the tag's indices on the depth-top
-        grid."""
+        """(point key, mask) for each candidate tag of cell (d < top, js),
+        lazily: the center, then `Box.corners` order.  Bit g of the mask is
+        set when gauge g is fine there.  Each gauge reads a key once, and
+        only its delta is kept; `tag` builds a tag that is used."""
         if d not in self.first:
             self.cell(d, js)
         s = self.top - d
         corners = itertools.product(*[(j << s, (j + 1) << s) for j in js])
         for key in (tuple((2 * j + 1) << (s - 1) for j in js), *corners):
-            if key not in self.points:
-                tag = tuple(self.coord(i, k) for i, k in enumerate(key))
-                self.points[key] = (tag, [g(tag) for g in self.gauges])
-            tag, deltas = self.points[key]
-            yield key, tag, [i for i, delta in enumerate(deltas) if self.fine(d, delta)]
+            deltas = self.points.get(key)
+            if deltas is None:
+                deltas = self.points[key] = tuple(read(key) for read in self.readers)
+            yield key, self.mask(d, deltas)
 
 
 class DyadicTable(Mapping):
@@ -670,15 +689,16 @@ class DyadicTable(Mapping):
 
 
 def _fine_partition(box: Box, gauge: Gauge, budget: int, pick) -> TaggedPartition:
-    """Depth-first dyadic walk: pick(depth, admissible tags, lazily) returns
-    a cell's tag, or None to bisect it, which at depth `budget` raises."""
+    """Depth-first dyadic walk: pick(depth, point keys of the admissible
+    tags, lazily) returns the key of a cell's tag, or None to bisect it,
+    which at depth `budget` raises.  Only an emitted tag is built exactly."""
     grid = DyadicGrid(box, budget + 1, [gauge])
     items, stack = [], [(0, (0,) * box.dim)]
     while stack:
         d, js = stack.pop()
-        tag = pick(d, (t for _, t, admits in grid.admitted(d, js) if admits))
-        if tag is not None:
-            items.append((grid.cell(d, js), tag))
+        key = pick(d, (key for key, fine in grid.admitted(d, js) if fine))
+        if key is not None:
+            items.append((grid.cell(d, js), grid.tag(key)))
         elif d >= budget:
             raise GaugeBudgetError(grid.cell(d, js), d)
         else:
@@ -698,7 +718,7 @@ def cousin_partition(
         raise ValueError("depth_budget must be >= 1")
     # no walk passes the depth where diam < the least float, 2^-1074: all tags are fine
     budget = min(depth_budget, 1076 + int(box.diameter_sq).bit_length() // 2)
-    return _fine_partition(box, gauge, budget, lambda d, tags: next(tags, None))
+    return _fine_partition(box, gauge, budget, lambda d, keys: next(keys, None))
 
 
 def random_fine_partition(box: Box, gauge: Gauge, rng) -> TaggedPartition:
@@ -713,10 +733,10 @@ def random_fine_partition(box: Box, gauge: Gauge, rng) -> TaggedPartition:
     """
     split = 0.7 / 2**box.dim
 
-    def pick(depth, tags):
-        tags = list(tags)
-        if tags and not (depth < DEPTH_BUDGET_DEFAULT and rng.random() < split):
-            return tags[rng.randrange(len(tags))]
+    def pick(depth, keys):
+        keys = list(keys)
+        if keys and not (depth < DEPTH_BUDGET_DEFAULT and rng.random() < split):
+            return keys[rng.randrange(len(keys))]
 
     return _fine_partition(box, gauge, DEPTH_BUDGET_DEFAULT, pick)
 

@@ -273,33 +273,37 @@ def verify_mc(
 
 
 def _residuals(F, G, Phi, box: Box, deepest: int):
-    """(grid, residuals): residuals(x, fx, k) yields (Q, |F(Q) - fx G(Q)|,
-    Phi(Q)), fx = f(x), where Q is (d, index spans) and grid.span_box(*Q)
-    its box.
+    """(grid, residuals): residuals(x, fx, levels) yields (k, Q,
+    |F(Q) - fx G(Q)|, Phi(Q)) for each level k in order, fx = f(x), where Q
+    is (d, index spans) and grid.span_box(*Q) its box.
 
     The tested boxes Q are the depth-k dyadic cell containing x (on an
     interior cut the cell on the high side), its values read by index where
     the operands allow (`on_grid`), plus, for k >= 1 and when every
     operand can be evaluated off the dyadic grid (no table kind), its
     half-cell translates that contain x, clipped to the box: index spans on
-    the depth-(k+1) grid.
+    the depth-(k+1) grid.  x is placed once, on the grid's top depth K: the
+    depth-k cell's indices are the depth-K cell's shifted right by K - k.
     """
     translates = all(o.kind != "table" for o in (F, G, Phi))
     grid = DyadicGrid(box, deepest + 1)
     read_F, read_G, read_Phi = (o.on_grid(grid) for o in (F, G, Phi))
+    K = grid.top
 
-    def residuals(x, fx, k):
-        js = grid.containing(x, k)
-        yield ((k, [(j, j + 1) for j in js]),
-               abs(read_F(k, js) - fx * read_G(k, js)), read_Phi(k, js))
-        if translates and k >= 1:
-            n, us = 2 ** (k + 1), grid.units(x, k + 1)
-            for shifts in itertools.product((-1, 0, 1), repeat=box.dim):
-                spans = [(max(2 * j + s, 0), min(2 * j + 2 + s, n))
-                         for j, s in zip(js, shifts)]
-                if any(shifts) and all(a <= u <= b for (a, b), u in zip(spans, us)):
-                    Q = grid.span_box(k + 1, spans)
-                    yield (k + 1, spans), abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q)
+    def residuals(x, fx, levels):
+        top, us = grid.containing(x, K), grid.units(x, K) if translates else None
+        for k in levels:
+            js = tuple(j >> (K - k) for j in top)
+            yield (k, (k, [(j, j + 1) for j in js]),
+                   abs(read_F(k, js) - fx * read_G(k, js)), read_Phi(k, js))
+            if translates and k >= 1:
+                n, r = 2 ** (k + 1), K - k - 1
+                for shifts in itertools.product((-1, 0, 1), repeat=box.dim):
+                    spans = [(max(2 * j + s, 0), min(2 * j + 2 + s, n))
+                             for j, s in zip(js, shifts)]
+                    if any(shifts) and all(a << r <= u <= b << r for (a, b), u in zip(spans, us)):
+                        Q = grid.span_box(k + 1, spans)
+                        yield k, (k + 1, spans), abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q)
 
     return grid, residuals
 
@@ -326,14 +330,10 @@ def verify_mc_nd(
     _, residuals = _residuals(F, G, Phi, box, levels[-1])
 
     def at(point):
-        fx = f(point)
-        qs = []
-        for k in levels:
-            worst = 0.0
-            for _Q, num, den in residuals(point, fx, k):
-                worst = max(worst, num / den)
-            qs.append(worst)
-        return qs
+        qs = dict.fromkeys(levels, 0.0)
+        for k, _Q, num, den in residuals(point, f(point), levels):
+            qs[k] = max(qs[k], num / den)
+        return list(qs.values())
 
     pts = [as_point(p) for p in sample_points]
     if not pts:
@@ -650,16 +650,15 @@ def gauge_from_control(
     def delta_at(point) -> float:
         fx = f(point)
         worst_fail = math.inf
-        for level in range(depth + 1):
-            for Q, num, den in residuals(point, fx, level):
-                if not num < eps * den:
-                    Q = grid.span_box(*Q)
-                    if level == depth:
-                        raise NoGaugeError(
-                            f"inequality fails at the finest scale at "
-                            f"x={tuple(map(float, point))}, box {Q}"
-                        )
-                    worst_fail = min(worst_fail, Q.diameter)
+        for level, Q, num, den in residuals(point, fx, range(depth + 1)):
+            if not num < eps * den:
+                Q = grid.span_box(*Q)
+                if level == depth:
+                    raise NoGaugeError(
+                        f"inequality fails at the finest scale at "
+                        f"x={tuple(map(float, point))}, box {Q}"
+                    )
+                worst_fail = min(worst_fail, Q.diameter)
         if worst_fail is math.inf:
             return 1.0
         return _largest_dyadic_below(worst_fail)

@@ -22,6 +22,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugecalc import (
     Box,
@@ -37,7 +39,8 @@ from gaugecalc import (
 from gaugecalc import hk, indefinite_hk
 from gaugecalc.calculus import check_monotone
 from gaugecalc.hk import TagEvalError
-from gaugecalc.mc import NoGaugeError, control_from_gauges, gauge_from_control, verify_mc_nd
+from gaugecalc.mc import (NoGaugeError, _residuals, control_from_gauges, gauge_from_control,
+                          verify_mc_nd)
 from gaugecalc.intervals import DEPTH_BUDGET_DEFAULT, DyadicGrid, _diam_lt, dyadic_cells, fsum
 
 
@@ -826,3 +829,119 @@ def test_a_round_trip_builds_a_box_per_depth_at_most(monkeypatch):
     assert built == []
     assert result.value == table.value(unit) == pytest.approx(F(1), abs=1e-14)
     assert len(phi.entries) == 2 ** (depth + 1) - 1
+
+
+def test_the_residual_dp_takes_f_in_one_block():
+    # the DP of a depth-10 round trip's to-control job: f at every admitted
+    # tag in one eval_block call, in the order first admitted, and no
+    # scalar call
+    depth, unit = 10, Box.unit()
+    f = PointFunction.from_expr("3/2*x - x^2/4")
+    table = indefinite_hk(f, None, unit, depth=depth, tol=1e-10)
+    blocks, scalars, block = [], [], f.eval_block
+    f.eval_block = lambda tags, out=None: blocks.append(list(tags)) or block(tags, out)
+    f.fast_eval = f.fn = lambda p: scalars.append(p)
+    gauges = [Gauge.constant(0.5), Gauge.constant(0.25)]
+    control_from_gauges(hk.residual_cell_fn(f, IntervalFunction.length(), table),
+                        gauges, unit, depth)
+    assert scalars == [] and len(blocks) == 1
+    # the admitted tags of the recursion, first admissions in order
+    admitted = []
+    ref_dp_tables(lambda c, t: admitted.append((float(t[0]),)) or 0.0, unit, gauges, depth)
+    assert blocks[0] == list(dict.fromkeys(admitted)) and len(blocks[0]) == 2 ** (depth + 1) + 1
+
+
+def failing_at(x0, message, value=lambda x: 3 * x * x - 1 / 3):
+    def fn(x):
+        if x == x0:
+            raise ZeroDivisionError(message)
+        return value(x)
+    return fn
+
+
+def test_a_failing_f_raises_from_the_dp_as_from_the_recursion():
+    # f fails at one admitted tag, the center of the depth-4 cell (4, 5)
+    (lo, hi), = BOX_1D.intervals
+    bad = float(lo + (hi - lo) * Fraction(11, 32))
+    _, G, F, _ = dp_case(BOX_1D, 5)
+    f = PointFunction.from_callable(failing_at(bad, "f at 11/32"), "f")
+    gauges = gauges_for(BOX_1D)
+    for psi, dp in [(hk.residual_cell_fn(f, G, F), delta_variation_dp_tables),
+                    (ref_residual(f, G, F), ref_dp_tables)]:
+        with pytest.raises(ZeroDivisionError, match="^f at 11/32$"):
+            dp(psi, BOX_1D, gauges, 5)
+    # f runs after the walk's gauge calls: a gauge that fails later in the
+    # walk than f (the recursion's first f call is at the box's center)
+    # raises first
+    f = PointFunction.from_callable(failing_at(float(lo + hi) / 2, "f"), "f")
+    gauges = [Gauge.constant(0.3), Gauge.from_function(failing_at(bad, "gauge", lambda x: 0.3))]
+    with pytest.raises(ZeroDivisionError, match="^f$"):
+        ref_dp_tables(ref_residual(f, G, F), BOX_1D, gauges, 5)
+    with pytest.raises(ZeroDivisionError, match="^gauge$"):
+        delta_variation_dp_tables(hk.residual_cell_fn(f, G, F), BOX_1D, gauges, 5)
+
+
+# ---------------------------------------------------------------------------
+# tags as point keys: gauges read by key, and the tested family's cells by shift
+
+KEY_BOXES = [Box.unit(), BOX_1D, Box.of(("1/5", 1)), Box.of(("-3/7", "5/2"))]
+PARTITION_TOP = DEPTH_BUDGET_DEFAULT + 1  # the top depth of a partition walk's grid
+
+
+@st.composite
+def sampled_gauges(draw):
+    """A box and a piecewise gauge on it.  Its samples sit on grid points
+    to the partition grid's top, between grid points, outside the box, at
+    one x twice, or alone."""
+    box = draw(st.sampled_from(KEY_BOXES))
+    (lo, hi), = box.intervals
+    d = st.integers(0, PARTITION_TOP)
+    on_grid = d.flatmap(lambda d: st.integers(0, 2**d).map(lambda j: Fraction(j, 2**d)))
+    between = d.flatmap(lambda d: st.integers(0, 3 * 2**d - 1).map(
+        lambda j: Fraction(3 * j + 1, 3 * 2**d)))
+    outside = st.fractions(0, 5).filter(bool).flatmap(lambda u: st.sampled_from([-u, 1 + u]))
+    us = draw(st.lists(st.one_of(on_grid, between, outside), min_size=1, max_size=8))
+    us += draw(st.lists(st.sampled_from(us), max_size=2))  # the same x twice
+    values = st.one_of(st.floats(1e-9, 10.0), st.sampled_from([0.0, -1.0, math.inf]))
+    samples = [(lo + u * (hi - lo), draw(values)) for u in us]
+    floor = draw(st.sampled_from([2.0**-12, 0.01, 0.3]))
+    return box, Gauge.piecewise_1d(samples, floor=floor), samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_gauges())
+def test_a_gauge_reads_a_point_key_as_its_exact_tag(case):
+    box, gauge, samples = case
+    (lo, hi), = box.intervals
+    grid = DyadicGrid(box, 12)
+    for g in (gauge, Gauge.constant(samples[0][1] if samples[0][1] > 0 else 0.5)):
+        read = g.on_grid(grid)
+        assert all(read((k,)) == g(grid.tag((k,))) for k in range(2**12 + 1))
+    # on the partition grid, the keys next to each sample and at the ends
+    grid, n = DyadicGrid(box, PARTITION_TOP, [gauge]), 2**PARTITION_TOP
+    keys = {0, 1, n - 1, n}
+    for x, _ in samples:
+        u = (x - lo) / (hi - lo) * n
+        keys.update(k for k in range(math.floor(u) - 1, math.ceil(u) + 2) if 0 <= k <= n)
+    read = gauge.on_grid(grid)
+    assert all(read((k,)) == gauge(grid.tag((k,))) for k in keys)
+
+
+@pytest.mark.parametrize("box", [BOX_1D, BOX_2D], ids=["1d", "2d"])
+def test_the_tested_cells_are_the_top_cell_shifted(box):
+    # points on cuts down to the top depth, 11 in 1-D, on the low and top
+    # edges, and off the grid
+    deepest = 10 if box.dim == 1 else 6
+    coords = [[lo + (hi - lo) * u for u in (0, Fraction(1, 2), Fraction(5, 32),
+                                            Fraction(3, 2**11), Fraction(1, 7), 1)]
+              for lo, hi in box.intervals]
+    volume = IntervalFunction.volume(box.dim)
+    table = IntervalFunction.table({c: 1.0 for d in range(deepest + 1)
+                                    for c in dyadic_cells(box, d)}, box, deepest)
+    for F in (volume, table):  # translates or not
+        grid, residuals = _residuals(F, volume, SuperadditiveFn.volume_power(1), box, deepest)
+        for x in itertools.product(*coords):
+            cells = [(k, Q) for k, Q, _, _ in residuals(x, 1.0, range(deepest + 1))
+                     if Q[0] == k]
+            assert cells == [(k, (k, [(j, j + 1) for j in grid.containing(x, k)]))
+                             for k in range(deepest + 1)]

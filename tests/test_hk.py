@@ -79,6 +79,46 @@ class TestRiemannSum:
             riemann_sum("1/x", LENGTH, tagged(HALVES_LEFT))
         assert "0.0" in str(err.value)
 
+    @staticmethod
+    def scalar_riemann_sum(f, G, items):
+        """The sum tag by tag: f(tag), then G(cell), each failure named."""
+        f, terms = PointFunction.resolve(f), []
+        for cell, tag in items:
+            try:
+                terms.append(f(tag) * G.value(cell))
+            except (ValueError, ArithmeticError) as e:
+                raise hk.TagEvalError(tag, cell, e) from e
+        return math.fsum(terms)
+
+    def test_a_block_of_tags_fails_where_the_scalar_loop_fails(self):
+        # f fails at 1/2 and at 3/4, and G = log-increments fails on a cell
+        # at 0; a failure names the first (tag, cell) in the partition's order
+        cells = [Box.of(("1/4", "1/2")), Box.of(("1/2", "3/4")), Box.of(("3/4", 1)),
+                 Box.of((0, "1/4"))]
+        tags = [(Fraction(1, 3),), (Fraction(1, 2),), (Fraction(3, 4),), (Fraction(0),)]
+        bad_G = IntervalFunction.from_generator("log(x)")
+        spiky = PointFunction.from_callable(
+            lambda x: 1 / (x - 0.5) / (x - 0.75), "spiky")
+        # (f, G, the order of the cells, the position of the first failure)
+        cases = [("1/(x-1/2)/(x-3/4)", LENGTH, [0, 1, 2, 3], 1),  # f at 1/2, an expression
+                 (spiky, LENGTH, [2, 1, 0, 3], 0),  # f at 3/4, a callable
+                 ("1/(x-1/2)", bad_G, [3, 0, 1, 2], 0),  # G on the cell at 0, before f fails
+                 ("x", bad_G, [2, 3], 1)]  # G only
+        for f, G, order, first in cases:
+            items = [(cells[i], tags[i]) for i in order]
+            errors = []
+            for run in (riemann_sum, self.scalar_riemann_sum):
+                with pytest.raises(hk.TagEvalError) as err:
+                    run(f, G, items)
+                errors.append((err.value.tag, err.value.cell, str(err.value),
+                               type(err.value.__cause__)))
+            assert errors[0] == errors[1]
+            assert errors[0][:2] == items[first][::-1]
+        # with no failure the block gives the scalar loop's sum, bit for bit
+        items = [(cells[i], tags[i]) for i in (2, 0, 1)]
+        for f in ("sin(7*x)/(x+1/10)", "ite(x<1/2,x,2*x)"):
+            assert riemann_sum(f, LENGTH, items) == self.scalar_riemann_sum(f, LENGTH, items)
+
 
 class TestHkIntegrate:
     def test_2d_nest_deeper_than_41_levels(self):

@@ -238,6 +238,15 @@ class TestGauge:
         assert g(("1/2",)) == 0.25
         assert g((0,)) == 0.5
 
+    def test_a_nan_sample_is_rejected_by_its_x(self):
+        # min(0.1, nan) is 0.1 but min(nan, 0.1) is nan: a nan sample read
+        # as 0.1 on its left and failed on its right
+        with pytest.raises(ValueError, match="nan value at x = 1/2$"):
+            Gauge.piecewise_1d([(0, 0.1), ("1/2", math.nan), (1, 0.1)], floor=0.01)
+        # a number in its place bounds both sides alike
+        g = Gauge.piecewise_1d([(0, 0.1), ("1/2", 0.05), (1, 0.1)], floor=0.01)
+        assert g(("3/8",)) == g(("5/8",)) == 0.05
+
 
 def test_dyadic_helpers():
     cells = list(dyadic_cells(Box.unit(), 3))
