@@ -468,31 +468,28 @@ class PointFunction:
     `singular_points` lists points where a builtin's value is declared
     rather than computed; the integrator pins tags there.
 
-    `fast_eval` takes a tuple of floats.  `eval_block` takes a list of them
-    and gives the same floats.  An expression, which is pure, evaluates a
-    block in one walk of its tree, column by column, and goes tag by tag
-    only where that raises, so it raises the first failure in tag order.
-    Any other function maps `fast_eval` over the tags.
+    Every kind evaluates through one callable, `fast_eval`: a tuple of
+    floats in, a float out; a call on a point converts it to those floats
+    first.  `fn` names the same callable.  `eval_block` takes a list of
+    tuples and gives the same floats.  An expression, which is pure,
+    evaluates a block in one walk of its tree, column by column, and goes
+    tag by tag only where that raises, so it raises the first failure in
+    tag order.  Any other function maps `fast_eval` over the tags.
     """
 
     def __init__(
         self,
-        fn: Callable,
+        fast_eval: Callable,
         name: str,
         dim: int = 1,
         expr: Optional[Expr] = None,
         singular_points: tuple = (),
     ):
-        self.fn = fn
+        self.fast_eval = self.fn = fast_eval
         self.name = name
         self.dim = dim
         self.expr = expr
         self.singular_points = tuple(as_point(p) for p in singular_points)
-        # hot path for the integrator: a float-tuple-in, float-out callable
-        if expr is not None:
-            self.fast_eval = lambda xs: _eval(expr, xs)
-        else:
-            self.fast_eval = fn
 
     @classmethod
     def from_expr(cls, source, dim: Optional[int] = None) -> "PointFunction":
@@ -502,28 +499,20 @@ class PointFunction:
             dim = max(1, need)
         elif need > dim:
             raise ValueError(f"expression uses x{need} but dim={dim}")
-
-        def fn(point):
-            return expr.eval(point)
-
-        return cls(fn, to_text(expr), dim=dim, expr=expr)
+        return cls(lambda xs: _eval(expr, xs), to_text(expr), dim=dim, expr=expr)
 
     @classmethod
     def from_callable(
         cls, fn: Callable, name: str, dim: int = 1, singular_points: tuple = ()
     ) -> "PointFunction":
-        def call(point):
-            if dim == 1:
-                return fn(float(point[0]))
-            return fn(point_floats(point))
-
-        return cls(call, name, dim=dim, singular_points=singular_points)
+        fast_eval = (lambda xs: fn(xs[0])) if dim == 1 else fn
+        return cls(fast_eval, name, dim=dim, singular_points=singular_points)
 
     @classmethod
     def builtin(cls, name: str) -> "PointFunction":
         if name in _BUILTINS:  # declared, not computed, at the singular point 0
             fn = _BUILTINS[name]
-            return cls(lambda p: fn(float(p[0])), name, singular_points=(0,))
+            return cls(lambda xs: fn(xs[0]), name, singular_points=(0,))
         if name.startswith("heaviside_"):  # ite(x<c,0,1)
             pf = cls.from_expr(Ite(0, Fraction(name[len("heaviside_") :]), Num(Fraction(0)),
                                    Num(Fraction(1))))
@@ -547,7 +536,7 @@ class PointFunction:
         raise TypeError(f"cannot interpret {source!r} as a point function")
 
     def __call__(self, point) -> float:
-        return float(self.fn(as_point(point)))
+        return float(self.fast_eval(point_floats(as_point(point))))
 
     def eval_block(self, tags, out=None) -> list:
         """fast_eval at each tag in order, appended to `out` (default: a new

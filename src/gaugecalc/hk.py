@@ -46,8 +46,11 @@ and a table (`intervals.DyadicTable`) is one float list per depth, which
 iterates by depth, then lexicographically.  An exact `Box` is built only
 for a cell returned, passed to a psi other than the residual's or to a G
 that needs one, or named in an error.
-Every sum over cells is correctly rounded (`intervals.fsum`), so no sum
-depends on the order of the cells.
+Every value and table entry summed over cells is correctly rounded
+(`intervals.fsum`), so it does not depend on the order of the cells.  The
+running totals that decide when a run stops (`sum_values`, `sum_defects`
+and the ring masses) are plain float sums in refinement order; that is
+why `force_grid` replays the order of refining leaf by leaf.
 """
 
 from __future__ import annotations
@@ -173,8 +176,11 @@ class _Nest:
         r1 = m1 / m0 if m0 != 0.0 else math.inf
         r2 = m0 / m2 if m2 != 0.0 else math.inf
         if 0.0 < r1 <= 0.95 and 0.0 < r2 <= 0.95 and 0.5 <= r1 / r2 <= 2.0:
-            self.correction = m1 * r1 / (1.0 - r1)
-            self.defect = abs(self.correction) + 0.5 * recent
+            # the tail estimates all the mass left in the tagged cell,
+            # whose own s1 the leaf already counts
+            tail = m1 * r1 / (1.0 - r1)
+            self.correction = tail - leaves[self.key].s1
+            self.defect = abs(tail) + 0.5 * recent
         else:
             # erratic (phase-cancelling) masses: bound the remaining
             # tail by the mass envelope, its decay fitted over the
@@ -258,15 +264,6 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
                     pass
             return fast(x) if v is None else float(v)
 
-        if geom.dim == 1:  # g at the box's ends, read once
-            (lo, hi), = geom.box.intervals
-            g_lo, g_hi = at((lo,), (geom.lo[0],)), at((hi,), (geom.lo[0] + geom.width[0],))
-
-            def g_eval(key):
-                d, (j,) = key
-                (a, b), = geom.bounds(key)
-                return (g_hi if j + 1 == 1 << d else fast((b,))) - (fast((a,)) if j else g_lo)
-            return g_eval
         # sign (-1)^(#lo coords), in the (lo, hi) product order of the corners
         signs = [-1.0 if bits.count(0) % 2 else 1.0 for bits in geom.bits]
 
@@ -556,7 +553,7 @@ class _Tree:
         while self.heap:
             neg, key = self.heap[0]
             leaf = self.leaves.get(key)
-            if leaf is None or leaf.singular is not None or -neg != leaf.defect:
+            if leaf is None or -neg != leaf.defect:
                 heapq.heappop(self.heap)
                 continue
             break
@@ -571,7 +568,7 @@ class _Tree:
         while self.heap:
             neg, key = heapq.heappop(self.heap)
             leaf = self.leaves.get(key)
-            if leaf is None or leaf.singular is not None or -neg != leaf.defect:
+            if leaf is None or -neg != leaf.defect:
                 continue
             if -neg < threshold or -neg <= 0.0:
                 heapq.heappush(self.heap, (neg, key))
@@ -590,7 +587,6 @@ class _Tree:
         self.update_nest()
 
         delta = math.inf
-        second_look = False
         while True:
             current, defect = self.total()
             if prev is not None:
@@ -601,8 +597,7 @@ class _Tree:
                 return self._result(defect, delta, False)
             marks = self.select_marks()
             if not marks:
-                if prev is None and not second_look:
-                    second_look = True
+                if prev is None:  # one more look, with the current total as the last
                     prev = current
                     continue
                 return self._result(defect, delta, False)
@@ -610,8 +605,7 @@ class _Tree:
             for leaf in marks:
                 if self.evals >= self.budget:
                     break
-                if leaf.key in self.leaves:
-                    self.refine(leaf)
+                self.refine(leaf)
             self.update_nest()
 
     def _result(self, defect, delta, converged):

@@ -17,7 +17,9 @@ from gaugecalc import (
     partition_defect,
     to_text,
 )
+from gaugecalc import funcspace
 from gaugecalc.funcspace import Bin, Fun, Ite, Num, Var
+from gaugecalc.intervals import as_point
 
 from conftest import random_dyadic_partition
 
@@ -214,6 +216,37 @@ def test_eval_block_maps_a_callable_in_tag_order():
     with pytest.raises(ValueError, match="negative -1.0"):
         f.eval_block([(0.5,), (-1.0,), (2.0,)], out)
     assert out == [9.0, 1.0] and calls == [1.0, 3.0, 0.5, -1.0]
+
+
+def _hypot(xs):
+    return math.hypot(*xs)
+
+
+@pytest.mark.parametrize("f,old_path", [
+    (PointFunction.from_expr("x1^2*sin(x2)-1/3", dim=2),
+     lambda p: float(parse("x1^2*sin(x2)-1/3").eval(p))),
+    (PointFunction.from_callable(math.log1p, "log1p"), lambda p: math.log1p(float(p[0]))),
+    (PointFunction.from_callable(_hypot, "hypot", dim=2),
+     lambda p: _hypot(tuple(float(c) for c in p))),
+    (PointFunction.builtin("hk_derivative"),
+     lambda p: funcspace._hk_derivative(float(p[0]))),
+], ids=["expr", "callable-1d", "callable-2d", "builtin"])
+def test_a_call_goes_once_through_fast_eval(f, old_path):
+    # the tracer replaces fast_eval with a counting wrapper in the same way
+    seen, fast = [], f.fast_eval
+
+    def counting(xs):
+        seen.append(xs)
+        return fast(xs)
+
+    f.fast_eval = counting
+    for point in [(Fraction(1, 3), Fraction(-5, 7)), ("2/7", "1e-3"), (0.1, 0.3),
+                  (Fraction(1, 3) + Fraction(1, 10**30), 2.5)]:
+        seen.clear()
+        point = point[:f.dim]
+        # the replaced path took the point as exact coordinates
+        assert _bits([f(point)]) == _bits([old_path(as_point(point))])
+        assert seen == [tuple(float(Fraction(c)) for c in point)]
 
 
 class TestEval:
