@@ -19,7 +19,7 @@ from .hk import hk_integrate
 from .intervals import Box, as_rational
 from .limits import one_sided_limit
 from .mc import (ControlFunction1D, McVerdict, MctDivergenceError, chebyshev_points,
-                 diverging_column, mct_control, verify_mc)
+                 diverging_column, increasing_values, mct_control, verify_mc)
 
 
 @dataclass
@@ -95,12 +95,7 @@ def check_change_of_variables(F, f, g, interval, tol: float = 1e-6) -> IdentityR
     """
     a, b = float(interval[0]), float(interval[1])
     Ff, ff, gf = as_scalar(F), as_scalar(f), as_scalar(g)
-    grid = chebyshev_points(a, b, 33)
-    for u, v in zip(grid, grid[1:]):
-        if not Ff(u) < Ff(v):
-            raise ValueError(
-                f"F not strictly increasing: F({u})={Ff(u)} !< F({v})={Ff(v)}"
-            )
+    increasing_values(Ff, a, b)
     c = one_sided_limit(Ff, a, +1, (b - a) / 8.0)
     d = one_sided_limit(Ff, b, -1, (b - a) / 8.0)
     itol = tol / 8.0

@@ -4,8 +4,9 @@ Exit codes: 0 pass/convergence, 1 checked failure (an integrand or control
 that fails where it is evaluated counts as one), 2 usage or config error
 (a ValueError raised on an argument of the library counts as one).
 Flags override values from --config (a flat JSON object); a subcommand
-accepts only the flags and config keys it reads.  Outputs are written
-atomically and deterministically (same config, same bytes).
+accepts only the flags and config keys it reads, and so does each kind of
+`identity` and each direction of `convert` (`_CHOICES`).  Outputs are
+written atomically and deterministically (same config, same bytes).
 """
 
 from __future__ import annotations
@@ -281,10 +282,12 @@ IDENTITY_PRESETS = {
 def run_identity(cfg) -> int:
     kind = cfg.get("kind")
     preset = cfg.get("preset")
-    reports = []
-    if kind in ("parts", "change", "additivity"):
+    checks = {"parts": (check_parts, ("f", "F", "g", "G", "interval", "tol")),
+              "change": (check_change_of_variables, ("F", "f", "g", "interval", "tol")),
+              "additivity": (check_interval_additivity, ("f", "a", "b", "c", "tol"))}
+    if kind in checks:
         spec = IDENTITY_PRESETS[kind].get(preset)
-        if spec is None and kind == "additivity" and cfg.get("f"):
+        if kind == "additivity" and preset is None and "f" in cfg:
             cfg = {"a": "0", "b": "1/2", "c": "1", **cfg}
             spec = dict(f=cfg["f"], tol=cfg.get("tol", 1e-6),
                         **{key: _rational(cfg, key) for key in ("a", "b", "c")})
@@ -293,19 +296,8 @@ def run_identity(cfg) -> int:
                 f"unknown preset {preset!r} for {kind} "
                 f"(have {sorted(IDENTITY_PRESETS[kind])})"
             )
-        if kind == "parts":
-            reports.append(check_parts(
-                spec["f"], spec["F"], spec["g"], spec["G"],
-                spec["interval"], spec["tol"],
-            ))
-        elif kind == "change":
-            reports.append(check_change_of_variables(
-                spec["F"], spec["f"], spec["g"], spec["interval"], spec["tol"],
-            ))
-        else:
-            reports.append(check_interval_additivity(
-                spec["f"], spec["a"], spec["b"], spec["c"], spec["tol"],
-            ))
+        check, names = checks[kind]
+        reports = [check(*(spec[name] for name in names))]
         _emit(cfg, suite_to_csv_rows(reports),
               [r.to_json_dict() for r in reports])
         return 0 if all(r.passed for r in reports) else CHECK_FAILED
@@ -414,8 +406,14 @@ _FLAG_TYPES = {
 # config keys whose value is text, as their flags give it
 _TEXT = ("f", "F", "G", "phi", "preset", "out")
 _CHOICES = {
-    "kind": ("parts", "change", "additivity", "monotone", "constancy"),
-    "direction": ("to-gauge", "to-control"),
+    # identity's kinds and convert's directions, each with the keys it reads;
+    # with a preset, additivity reads only the preset
+    "kind": {"parts": ("preset",), "change": ("preset",),
+             "additivity": ("preset", "f", "a", "b", "c", "tol"),
+             "monotone": ("f", "box", "depth", "tol"),
+             "constancy": ("f", "box", "depth", "tol", "dev_tol")},
+    "direction": {"to-gauge": ("f", "box", "depth", "tol", "eps", "samples"),
+                  "to-control": ("f", "box", "depth", "tol", "K")},
     "format": ("csv", "json"),
 }
 
@@ -464,6 +462,15 @@ def _validate(cfg: dict, command: str):
     for key, choices in _CHOICES.items():
         if key in cfg and cfg[key] not in choices:
             raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {cfg[key]!r}")
+    selector = {"identity": "kind", "convert": "direction"}.get(command)
+    if selector is not None:  # a key that this kind or direction does not read
+        choice = cfg.get(selector, "to-gauge")
+        reads = _CHOICES[selector][choice]
+        if choice == "additivity" and "preset" in cfg:
+            reads, choice = ("preset",), f"{choice} with a preset"
+        unread = sorted(set(cfg) - {selector, *reads, *_COMMON})
+        if unread:
+            raise ConfigError(f"{command} {choice} does not read {', '.join(unread)}")
     for key, kind in _FLAG_TYPES.items():
         if key not in cfg:
             continue

@@ -700,10 +700,23 @@ class IntervalFunction(_BoxFunction):
     def heaviside(cls, c) -> "IntervalFunction":
         return cls.from_generator(PointFunction.builtin(f"heaviside_{as_rational(c)}"))
 
+    def generator_at(self, corner, floats) -> float:
+        """g at a corner whose floats are `floats`: exactly where they are not
+        the corner, which they may put across a jump of g (heaviside_c's at
+        c), else by `fast_eval` on them."""
+        if floats != corner:
+            try:
+                v = self.generator.eval_exact(tuple(map(Fraction, corner)))
+            except (ValueError, ArithmeticError):
+                v = None
+            if v is not None:
+                return float(v)
+        return float(self.generator.fast_eval(floats))
+
     def _formula(self, box: Box) -> float:
         if self.kind == "volume":
             return float(box.volume)
-        return fsum([_corner_sign(corner, box) * self.generator(corner)
+        return fsum([_corner_sign(corner, box) * self.generator_at(corner, point_floats(corner))
                      for corner in box.corners()])
 
     def value_exact(self, box: Box) -> Optional[Fraction]:

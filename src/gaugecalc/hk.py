@@ -1,7 +1,7 @@
 """Riemann-Stieltjes sums, the adaptive gauge-driven integrator, indefinite
 tables, and delta-variation (1-D brute force + dyadic dynamic program).
 
-The integrator maintains a dyadic cell tree.  Every leaf carries
+The integrator maintains a dyadic cell tree.  Every leaf is estimated from
 midpoint-tagged sums at four consecutive scales: s1 = f(tag) G(Q), s2 over
 its 2^n children, s3 over its 4^n grandchildren, s4 over its 8^n
 great-grandchildren.  One Richardson step per scale pair gives m0, m1, m2
@@ -14,7 +14,8 @@ composite agrees exactly, a fraction of the trapezoid-vs-midpoint gap
 against a feature hidden at the cell's edge.
 
 A cell that holds a declared singular point of f is tagged at that point
-(the gauge-integration choice: the singular point must tag its own cell).
+(the gauge-integration choice: the singular point must tag its own cell);
+its value is s1, and its gap |s1 - s2| feeds the nest's defect.
 The box is cut on each axis at the points' coordinates and midway between
 consecutive ones (`_pieces`), so each piece's tree holds at most one point,
 at a corner, and the cells that hold it are the corner cells, one per
@@ -45,12 +46,15 @@ dyadic cells: the tree takes float bounds, centers and volumes from it,
 and a table (`intervals.DyadicTable`) is one float list per depth, which
 iterates by depth, then lexicographically.  An exact `Box` is built only
 for a cell returned, passed to a psi other than the residual's or to a G
-that needs one, or named in an error.
+that needs one, or named in an error.  A corner-generated G reads its
+generator g exactly at a corner whose float is not the corner, on the
+tree's box ends as on a Box (`IntervalFunction.generator_at`).
 Every value and table entry summed over cells is correctly rounded
 (`intervals.fsum`), so it does not depend on the order of the cells.  The
 running totals that decide when a run stops (`sum_values`, `sum_defects`
-and the ring masses) are plain float sums in refinement order; that is
-why `force_grid` replays the order of refining leaf by leaf.
+and the ring masses) are plain float sums in refinement order, moved only
+by `_Tree.tally`; that is why `force_grid` replays the order of refining
+leaf by leaf.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .funcspace import IntervalFunction, PointFunction
@@ -164,7 +167,7 @@ class _Nest:
         R = len(self.masses)
         self.correction = 0.0
         if R < 2:  # the tagged cell's own gap, and the first ring's mass
-            raw = abs(leaves[self.key].s1 - leaves[self.key].s2)
+            raw = leaves[self.key].defect
             self.defect = abs(self.masses[0]) + raw if R else raw
             return
         m0, m1 = self.masses[-2:]
@@ -177,9 +180,9 @@ class _Nest:
         r2 = m0 / m2 if m2 != 0.0 else math.inf
         if 0.0 < r1 <= 0.95 and 0.0 < r2 <= 0.95 and 0.5 <= r1 / r2 <= 2.0:
             # the tail estimates all the mass left in the tagged cell,
-            # whose own s1 the leaf already counts
+            # whose own s1 the leaf already counts as its value
             tail = m1 * r1 / (1.0 - r1)
-            self.correction = tail - leaves[self.key].s1
+            self.correction = tail - leaves[self.key].value
             self.defect = abs(tail) + 0.5 * recent
         else:
             # erratic (phase-cancelling) masses: bound the remaining
@@ -226,15 +229,12 @@ class _Nest:
 
 
 class _Leaf:
-    __slots__ = ("key", "singular", "s1", "s2", "value", "defect",
-                 "l2", "l3", "l4", "ring")
+    __slots__ = ("key", "singular", "value", "defect", "l2", "l3", "l4", "ring")
 
-    def __init__(self, key, singular, s1, s2, value, defect, l2, l3, l4, ring):
+    def __init__(self, key, singular, value, defect, l2, l3, l4, ring):
         self.key = key
         self.singular = singular  # the _Nest whose point tags the cell, or None
-        self.s1 = s1
-        self.s2 = s2
-        self.value = value
+        self.value = value  # a tagged cell's: its s1, with the defect |s1 - s2|
         self.defect = defect
         # cached probes (key, singular, s1) one/two/three levels down,
         # flat in nested child order; reused by the children on refinement.
@@ -250,20 +250,7 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
     if G.kind == "volume":
         return geom.volume
     if G.kind == "corner":
-        gen, fast = G.generator, G.generator.fast_eval
-
-        def at(corner, x):
-            """g at a corner whose floats on the grid are x: exactly where they
-            are not the corner, at a box end that x may put across a jump of
-            g (heaviside_c on [0, c])."""
-            v = None
-            if x != corner:
-                try:
-                    v = gen.eval_exact(tuple(map(Fraction, corner)))
-                except (ValueError, ArithmeticError):
-                    pass
-            return fast(x) if v is None else float(v)
-
+        # a corner is exact at the box's ends and the grid's float elsewhere;
         # sign (-1)^(#lo coords), in the (lo, hi) product order of the corners
         signs = [-1.0 if bits.count(0) % 2 else 1.0 for bits in geom.bits]
 
@@ -271,7 +258,8 @@ def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
             d, js = key
             axes = [((lo if j == 0 else a, a), (hi if j + 1 == 1 << d else b, b))
                     for (a, b), j, (lo, hi) in zip(geom.bounds(key), js, geom.box.intervals)]
-            return fsum([s * at(*zip(*c)) for s, c in zip(signs, itertools.product(*axes))])
+            return fsum([s * G.generator_at(*zip(*c))
+                         for s, c in zip(signs, itertools.product(*axes))])
         return g_eval
 
     read = G.on_grid(geom)  # a table on the integration box by (d, js)
@@ -349,10 +337,9 @@ class _Tree:
         if l3 is None:
             l3 = [(gk,) + self._probe(gk, c[1]) for c in l2 for gk in children(c[0])]
         l4 = [(hk,) + self._probe(hk, g[1]) for g in l3 for hk in children(g[0])]
-        s2 = fsum([c[2] for c in l2])
-        value, defect = self._estimate(key, singular, s1, s2, fsum([g[2] for g in l3]),
-                                       fsum([h[2] for h in l4]))
-        return self.add_leaf(_Leaf(key, singular, s1, s2, value, defect, l2, l3, l4, ring))
+        value, defect = self._estimate(key, singular, s1, fsum([c[2] for c in l2]),
+                                       fsum([g[2] for g in l3]), fsum([h[2] for h in l4]))
+        return self.add_leaf(_Leaf(key, singular, value, defect, l2, l3, l4, ring))
 
     def _estimate(self, key, singular, s1, s2, s3, s4):
         """(value, defect) of a leaf from its midpoint sums at four scales."""
@@ -388,34 +375,32 @@ class _Tree:
             defect += EDGE_GUARD * self._edge_gap(key, s1, s2)
         return value, defect
 
+    def tally(self, value, defect, ring, sign=1.0):
+        """Add a cell's value and defect to the running sums and to its ring
+        (`sign` -1.0 takes them off), opening the ring at its first cell:
+        the only code that moves these sums."""
+        self.sum_values += sign * value
+        self.sum_defects += sign * defect
+        if ring is not None:
+            nest, r = ring
+            if r == len(nest.masses):  # the first cell of the nest's next ring
+                nest.masses.append(0.0)
+                nest.defects.append(0.0)
+            nest.masses[r] += sign * value
+            nest.defects[r] += sign * defect
+
     def add_leaf(self, leaf):
-        key, value, defect, ring = leaf.key, leaf.value, leaf.defect, leaf.ring
-        self.leaves[key] = leaf
-        self.sum_values += value
-        if leaf.singular is not None:
-            leaf.singular.key = key
-        else:
-            self.sum_defects += defect
-            if ring is not None:
-                nest, r = ring
-                if r == len(nest.masses):  # the first cell of the nest's next ring
-                    nest.masses.append(0.0)
-                    nest.defects.append(0.0)
-                nest.masses[r] += value
-                nest.defects[r] += defect
-            if key[0] < MAX_DEPTH and defect > 0.0:
-                heapq.heappush(self.heap, (-defect, key))
+        self.leaves[leaf.key] = leaf
+        if leaf.singular is not None:  # the nest's defect covers its tagged cell
+            leaf.singular.key = leaf.key
+        elif leaf.key[0] < MAX_DEPTH and leaf.defect > 0.0:
+            heapq.heappush(self.heap, (-leaf.defect, leaf.key))
+        self.tally(leaf.value, leaf.defect if leaf.singular is None else 0.0, leaf.ring)
         return leaf
 
     def drop_leaf(self, leaf):
         del self.leaves[leaf.key]
-        self.sum_values -= leaf.value
-        if leaf.singular is None:
-            self.sum_defects -= leaf.defect
-            if leaf.ring is not None:
-                nest, r = leaf.ring
-                nest.masses[r] -= leaf.value
-                nest.defects[r] -= leaf.defect
+        self.tally(leaf.value, leaf.defect if leaf.singular is None else 0.0, leaf.ring, -1.0)
 
     def open_ring(self, leaf):
         """Drop `leaf` and return the ring its regular children join: its
@@ -505,11 +490,7 @@ class _Tree:
                     ring = self.open_ring(self.leaves[nest.key] if d else root)
                 else:  # drop_leaf's sums, with no leaf
                     value, defect, ring = above[p]
-                    self.sum_values -= value
-                    self.sum_defects -= defect
-                    if ring is not None:
-                        nest.masses[ring[1]] -= value
-                        nest.defects[ring[1]] -= defect
+                    self.tally(value, defect, ring, -1.0)
                 for c in range(p * m, p * m + m):
                     key, singular = keys[c], nest if c == spot else None
                     s1, s2 = v1[c], fsum(v2[c * m:c * m + m])
@@ -517,17 +498,10 @@ class _Tree:
                                                    fsum(v3[c * m * m:(c + 1) * m * m]),
                                                    fsum(v4[c * n:c * n + n]))
                     if singular is None and d + 1 < depth:  # add_leaf's sums, with no leaf
-                        self.sum_values += value
-                        self.sum_defects += defect
-                        if ring is not None:
-                            if ring[1] == len(nest.masses):  # the nest's next ring
-                                nest.masses.append(0.0)
-                                nest.defects.append(0.0)
-                            nest.masses[ring[1]] += value
-                            nest.defects[ring[1]] += defect
+                        self.tally(value, defect, ring)
                         cells[c] = value, defect, ring
                         continue
-                    self.add_leaf(_Leaf(key, singular, s1, s2, value, defect, None, None, None,
+                    self.add_leaf(_Leaf(key, singular, value, defect, None, None, None,
                                         None if singular is not None else ring))
             order = kids if perm is None else sorted(range(len(keys)), key=keys.__getitem__)
             above, vals = cells, [v2, v3, v4]
@@ -548,29 +522,22 @@ class _Tree:
     # -- marking
 
     def select_marks(self):
-        """The nest's leaf if needy + the worst regular leaves (within 4x of the max)."""
-        marks = []
-        while self.heap:
-            neg, key = self.heap[0]
-            leaf = self.leaves.get(key)
-            if leaf is None or -neg != leaf.defect:
-                heapq.heappop(self.heap)
-                continue
-            break
-        max_defect = -self.heap[0][0] if self.heap else 0.0
+        """The nest's leaf if needy + the worst regular leaves (within 4x of the max).
+
+        One pass over the heap, whose live entries (those of a leaf with
+        that defect) all have a defect > 0: the first sets the threshold."""
         # a nest deepens only while its own uncertainty threatens the
         # tolerance; every extra ring multiplies the resolution bill
-        nest, nest_marks = self.nest, []
+        nest, nest_marks, marks = self.nest, [], []
         if (nest is not None and nest.key[0] < CHAIN_DEPTH_CAP
                 and not nest.blocked(self.share) and nest.defect >= self.share):
             nest_marks.append(self.leaves[nest.key])
-        threshold = 0.25 * max_defect
         while self.heap:
             neg, key = heapq.heappop(self.heap)
             leaf = self.leaves.get(key)
             if leaf is None or -neg != leaf.defect:
                 continue
-            if -neg < threshold or -neg <= 0.0:
+            if marks and -neg < 0.25 * marks[0].defect:
                 heapq.heappush(self.heap, (neg, key))
                 break
             marks.append(leaf)

@@ -393,14 +393,8 @@ def combine_controls(
         if F is None:
             raise ValueError("compose mode needs the inner function F")
         Ff = as_scalar(F)
-        a, b = phi.domain
-        grid = chebyshev_points(a, b, 33)
-        for u, v in zip(grid, grid[1:]):
-            if not Ff(u) < Ff(v):
-                raise ValueError(
-                    f"F not strictly increasing: F({u})={Ff(u)}, F({v})={Ff(v)}"
-                )
-        psi = _as_control(psi, (Ff(grid[0]), Ff(grid[-1])))
+        values = increasing_values(Ff, *phi.domain)
+        psi = _as_control(psi, (values[0], values[-1]))
         pf, qf = phi.fn, psi.fn
         return ControlFunction1D(
             lambda t: qf(Ff(t)) + pf(t),
@@ -734,3 +728,14 @@ def chebyshev_points(a: float, b: float, n: int) -> list:
     if n % 2:
         pts[n // 2] = mid
     return sorted(pts)
+
+
+def increasing_values(F, a: float, b: float) -> list:
+    """F at the 33 Chebyshev points of (a, b), each evaluated once; a
+    ValueError names the first two between which F does not strictly rise."""
+    grid = chebyshev_points(a, b, 33)
+    values = [F(t) for t in grid]
+    for u, v, Fu, Fv in zip(grid, grid[1:], values, values[1:]):
+        if not Fu < Fv:
+            raise ValueError(f"F not strictly increasing: F({u})={Fu} !< F({v})={Fv}")
+    return values

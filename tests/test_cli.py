@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gaugecalc
-from gaugecalc.cli import main
+from gaugecalc.cli import _CHOICES, main
 
 
 def run(argv, capsys):
@@ -342,6 +342,53 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,unread", [
+        (["identity", "parts", "--preset", "ones", "--tol", "1e-300"], "parts does not read tol"),
+        (["identity", "monotone", "--a", "3", "--dev-tol", "5"], "monotone does not read a, dev_tol"),
+        (["convert", "--direction", "to-control", "--eps", "0.5", "--samples", "3"],
+         "to-control does not read eps, samples"),
+        (["convert", "--K", "3"], "to-gauge does not read K"),
+        (["identity", "additivity", "--preset", "const", "--f", "x", "--a", "5"],
+         "additivity with a preset does not read a, f"),
+    ], ids=["parts", "monotone", "to-control", "to-gauge", "additivity"])
+    def test_a_flag_that_the_kind_or_direction_does_not_read_exits_2(self, argv, unread,
+                                                                      capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: {argv[0]} {unread}\n"
+
+    def test_a_config_key_that_the_kind_does_not_read_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "change", "preset": "square", "f": "x"}))
+        code, out, err = run(["identity", "change", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "config error: identity change does not read f\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["identity", "parts", "--preset", "zero"],
+        ["identity", "change", "--preset", "square"],
+        ["identity", "additivity", "--preset", "const"],
+        ["identity", "additivity", "--f", "x", "--a", "0", "--b", "1/4", "--c", "1",
+         "--tol", "1e-3"],
+        ["identity", "monotone", "--f", "2*x", "--box", "[0,1]", "--depth", "3", "--tol", "1e-6"],
+        ["identity", "constancy", "--f", "2*x", "--box", "[0,1]", "--depth", "3", "--tol", "1e-8",
+         "--dev-tol", "1e-6"],
+        ["convert", "--direction", "to-gauge", "--f", "2*x", "--box", "[0,1]", "--depth", "4",
+         "--tol", "1e-8", "--eps", "0.5", "--samples", "5"],
+        ["convert", "--direction", "to-control", "--f", "2*x", "--box", "[0,1]", "--depth", "4",
+         "--tol", "1e-8", "--K", "2"],
+    ])
+    def test_each_kind_and_direction_runs_with_the_keys_it_reads(self, argv, capsys):
+        choice = argv[1] if argv[0] == "identity" else argv[2]
+        given = [a[2:].replace("-", "_") for a in argv[2:] if a.startswith("--")]
+        reads = {**_CHOICES["kind"], **_CHOICES["direction"]}[choice]
+        # additivity reads its preset, or else its other keys
+        reads = [key for key in reads if (key == "preset") == ("preset" in given)]
+        assert sorted(set(given) - {"direction"}) == sorted(reads) != []
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert out
 
     def test_indefinite_budget_below_the_forced_grid(self, capsys):
         code, out, err = run(["indefinite", "--f", "x", "--depth", "24"], capsys)

@@ -2,8 +2,10 @@
 ends with exit code 0, 1 or 2 and no traceback, and exit 2 prints exactly
 one line on stderr.
 
-Each subcommand draws the flags it reads (`cli.COMMANDS`), valid and
-hostile values mixed.  `--budget`, `--depth`, `--K` and `--samples` are
+Each subcommand draws the flags it reads (`cli.COMMANDS`); `identity` and
+`convert` draw those of the chosen kind or direction (`cli._CHOICES`), and
+one time in sixteen one flag that it does not read.  Values are valid and
+hostile mixed.  `--budget`, `--depth`, `--K` and `--samples` are
 capped and always given.  The commands that integrate with no `--budget`
 to bound them always get a `--tol` of 1e-3 or more and draw only
 integrands that end quickly, so a run that cannot converge (item 13) does
@@ -22,7 +24,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaugecalc.cli import COMMANDS, main
+from gaugecalc.cli import _CHOICES, COMMANDS, main
 
 # every flag draws a hostile value one time in eight: from HOSTILE, or
 # from its own list of the wrong kind
@@ -79,7 +81,9 @@ FLAGS = {  # key: (valid values, hostile values)
 }
 # the values of the commands that integrate with no --budget
 QUICK = {"f": values(QUICK_F), "tol": values(TOLS)}
-KINDS = ["parts", "change", "additivity", "monotone", "constancy"]
+KINDS = list(_CHOICES["kind"])
+# the keys that each kind of identity and each direction of convert reads
+READS = {**_CHOICES["kind"], **_CHOICES["direction"]}
 
 
 # keys whose values bound the run: a number is drawn below the same cap
@@ -119,21 +123,46 @@ def number(draw, key, quick):
     return draw(st.floats(1e-3 if quick else 1e-9, 10.0))
 
 
-def keys_of(command):
-    """(the keys a command reads, `kind` aside, with `format` and `out`;
-    the keys always given; whether only tol bounds the run)."""
+def keys_of(draw, command, choice):
+    """(the keys that `command`, or its kind or direction `choice`, reads,
+    `kind` and `direction` aside, with `format` and `out`; the keys always
+    given; whether only tol bounds the run).  Additivity draws its preset
+    or else its other keys; one time in sixteen a key that the choice does
+    not read is added, and always given."""
     quick = command in ("convert", "identity", "mct")
-    keys = [key for key in COMMANDS[command][1] if key != "kind"]
-    return keys + ["format", "out"], set(CAPS) | ({"tol"} if quick else set()), quick
+    every = [key for key in COMMANDS[command][1] if key not in ("kind", "direction")]
+    keys = list(READS.get(choice, every))
+    if choice == "additivity":
+        keys = keys[:1] if draw(st.booleans()) else keys[1:]
+    always = set(CAPS) | ({"tol"} if quick else set())
+    unread = [key for key in every if key not in keys]
+    if unread and draw(st.integers(0, 15)) == 0:
+        keys.append(draw(st.sampled_from(unread)))
+        always.add(keys[-1])
+    return keys + ["format", "out"], always, quick
+
+
+def direction(draw, config):
+    """convert's direction: None (to-gauge) one time in ten, else as any
+    key is drawn, of the wrong type one time in eight in a config."""
+    if not draw(st.integers(0, 9)):
+        return None
+    if config and draw(st.integers(0, 7)) == 0:
+        return draw(OTHER_JSON)
+    return flag_value(draw, "direction", False)
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    argv = [command]
+    argv, choice = [command], None
     if command == "identity" and draw(st.integers(0, 9)):
-        argv.append(draw(st.sampled_from(KINDS + ["nope"])))
-    keys, always, quick = keys_of(command)
+        choice = draw(st.sampled_from(KINDS + ["nope"]))
+        argv.append(choice)
+    if command == "convert":
+        choice = direction(draw, False)
+        argv += [] if choice is None else [f"--direction={choice}"]
+    keys, always, quick = keys_of(draw, command, choice or "to-gauge")
     for key in draw(st.permutations(keys)):
         if key in always or draw(st.booleans()):
             value = flag_value(draw, key, quick)
@@ -146,11 +175,16 @@ def argvs(draw):
 def configs(draw):
     """(argv without the --config flag, config object)."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    argv, cfg = [command], {}
-    if command == "identity":
-        argv.append(draw(st.sampled_from(KINDS)))
+    argv, cfg, choice = [command], {}, None
+    if command == "identity":  # the argument overrides the config's kind
+        choice = draw(st.sampled_from(KINDS))
+        argv.append(choice)
         cfg["kind"] = draw(st.sampled_from(KINDS + ["nope"]) | OTHER_JSON)
-    keys, always, quick = keys_of(command)
+    if command == "convert":
+        choice = direction(draw, True)
+        if choice is not None:
+            cfg["direction"] = choice
+    keys, always, quick = keys_of(draw, command, choice if isinstance(choice, str) else "to-gauge")
     for key in draw(st.permutations(keys)):
         if key in always or draw(st.booleans()):
             if draw(st.integers(0, 7)) == 0:  # mostly of the wrong type

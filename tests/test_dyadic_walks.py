@@ -476,8 +476,8 @@ def tree_state(tree, prev):
     def probes(cache):
         return [(k, nest(s), v.hex()) for k, s, v in cache]
 
-    leaves = [(lf.key, nest(lf.singular), lf.s1.hex(), lf.s2.hex(), lf.value.hex(),
-               lf.defect.hex(), lf.ring and (nest(lf.ring[0]), lf.ring[1]),
+    leaves = [(lf.key, nest(lf.singular), lf.value.hex(), lf.defect.hex(),
+               lf.ring and (nest(lf.ring[0]), lf.ring[1]),
                *map(probes, tree.caches(lf)))
               for lf in tree.leaves.values()]
     live = sorted((neg, key) for neg, key in tree.heap if key in tree.leaves

@@ -172,11 +172,12 @@ class TestHkIntegrate:
     @pytest.mark.parametrize("g", ["x^2", "heaviside_1/3"])
     @pytest.mark.parametrize("ends", [("1/5", 1), (0, "1/3")], ids=["[1/5,1]", "[0,1/3]"])
     def test_a_1d_corner_g_is_the_increment_of_its_generator(self, g, ends):
-        # g(b) - g(a) on every cell, g read exactly at a box end whose float
-        # is not the end, and on the float bounds everywhere else
+        # g(b) - g(a) on every cell, g read exactly at an end whose float is
+        # not the end, and on the float everywhere else: in the tree at the
+        # box's ends and on the float grid, in G.value at the cell's ends
         box, gen = Box.of(ends), PointFunction.resolve(g)
-        geom = DyadicGrid(box, 8)
-        g_eval = hk._make_g_eval(IntervalFunction.from_generator(gen), geom)
+        geom, G = DyadicGrid(box, 8), IntervalFunction.from_generator(gen)
+        g_eval = hk._make_g_eval(G, geom)
         (lo, hi), = box.intervals
 
         def at(end, x):
@@ -188,6 +189,17 @@ class TestHkIntegrate:
                 ga = at(lo, a) if j == 0 else gen.fast_eval((a,))
                 gb = at(hi, b) if j + 1 == 2**d else gen.fast_eval((b,))
                 assert g_eval((d, (j,))).hex() == (gb - ga).hex()
+                (ea, eb), = geom.cell(d, (j,)).intervals
+                gb, ga = at(eb, float(eb)), at(ea, float(ea))
+                assert G.value(geom.cell(d, (j,))).hex() == (gb - ga).hex()
+
+    def test_a_jump_at_a_cell_end_that_is_not_a_float(self):
+        # float(1/3) < 1/3: read on the float end, H's jump at 1/3 fell
+        # outside [0, 1/3] (0.0) and inside [1/3, 1] (1.0)
+        H = IntervalFunction.heaviside("1/3")
+        assert (H.value(Box.of((0, "1/3"))), H.value(Box.of(("1/3", 1)))) == (1.0, 0.0)
+        cells = [(Box.of((0, "1/6")), "1/12"), (Box.of(("1/6", "1/3")), "1/3")]
+        assert riemann_sum("x", H, cells) == 1 / 3
 
     def test_inv_sqrt(self):
         result = hk_integrate("inv_sqrt", LENGTH, Box.unit(), tol=1e-4)
