@@ -5,7 +5,7 @@ that fails where it is evaluated counts as one), 2 usage or config error
 (a ValueError raised on an argument of the library counts as one).
 Flags override values from --config (a flat JSON object); a subcommand
 accepts only the flags and config keys it reads, and so does each kind of
-`identity` and each direction of `convert` (`_CHOICES`).  Outputs are
+`identity` and each direction of `convert` (`_READS`).  Outputs are
 written atomically and deterministically (same config, same bytes).
 """
 
@@ -282,24 +282,20 @@ IDENTITY_PRESETS = {
 def run_identity(cfg) -> int:
     kind = cfg.get("kind")
     preset = cfg.get("preset")
-    checks = {"parts": (check_parts, ("f", "F", "g", "G", "interval", "tol")),
-              "change": (check_change_of_variables, ("F", "f", "g", "interval", "tol")),
-              "additivity": (check_interval_additivity, ("f", "a", "b", "c", "tol"))}
+    # each check by its arguments' names, as a preset gives them
+    checks = {"parts": check_parts, "change": check_change_of_variables,
+              "additivity": check_interval_additivity}
     if kind in checks:
         spec = IDENTITY_PRESETS[kind].get(preset)
-        if kind == "additivity" and preset is None and "f" in cfg:
+        if "preset" not in _READS[_reading(cfg, kind)]:  # additivity of its own f
             cfg = {"a": "0", "b": "1/2", "c": "1", **cfg}
             spec = dict(f=cfg["f"], tol=cfg.get("tol", 1e-6),
                         **{key: _rational(cfg, key) for key in ("a", "b", "c")})
         if spec is None:
-            raise ConfigError(
-                f"unknown preset {preset!r} for {kind} "
-                f"(have {sorted(IDENTITY_PRESETS[kind])})"
-            )
-        check, names = checks[kind]
-        reports = [check(*(spec[name] for name in names))]
-        _emit(cfg, suite_to_csv_rows(reports),
-              [r.to_json_dict() for r in reports])
+            raise ConfigError(f"unknown preset {preset!r} for {kind} "
+                              f"(have {sorted(IDENTITY_PRESETS[kind])})")
+        reports = [checks[kind](**spec)]
+        _emit(cfg, suite_to_csv_rows(reports), [r.to_json_dict() for r in reports])
         return 0 if all(r.passed for r in reports) else CHECK_FAILED
     if kind == "monotone":
         box = _parse_box(cfg.get("box", "[0,1]"))
@@ -406,16 +402,23 @@ _FLAG_TYPES = {
 # config keys whose value is text, as their flags give it
 _TEXT = ("f", "F", "G", "phi", "preset", "out")
 _CHOICES = {
-    # identity's kinds and convert's directions, each with the keys it reads;
-    # with a preset, additivity reads only the preset
-    "kind": {"parts": ("preset",), "change": ("preset",),
-             "additivity": ("preset", "f", "a", "b", "c", "tol"),
-             "monotone": ("f", "box", "depth", "tol"),
-             "constancy": ("f", "box", "depth", "tol", "dev_tol")},
-    "direction": {"to-gauge": ("f", "box", "depth", "tol", "eps", "samples"),
-                  "to-control": ("f", "box", "depth", "tol", "K")},
+    "kind": ("parts", "change", "additivity", "monotone", "constancy"),
+    "direction": ("to-gauge", "to-control"),
     "format": ("csv", "json"),
 }
+# The keys each identity kind and convert direction reads, beside itself and _COMMON;
+# additivity runs a preset or its own f, one entry each (`_reading`).
+_READS = {"parts": ("preset",), "change": ("preset",), "additivity with a preset": ("preset",),
+          "additivity": ("f", "a", "b", "c", "tol"), "monotone": ("f", "box", "depth", "tol"),
+          "constancy": ("f", "box", "depth", "tol", "dev_tol"),
+          "to-gauge": ("f", "box", "depth", "tol", "eps", "samples"),
+          "to-control": ("f", "box", "depth", "tol", "K")}
+
+
+def _reading(cfg: dict, choice: str) -> str:
+    """The `_READS` entry of a kind or direction that cfg runs."""
+    preset = f"{choice} with a preset"
+    return preset if preset in _READS and "preset" in cfg else choice
 
 
 class _Parser(argparse.ArgumentParser):
@@ -462,15 +465,12 @@ def _validate(cfg: dict, command: str):
     for key, choices in _CHOICES.items():
         if key in cfg and cfg[key] not in choices:
             raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {cfg[key]!r}")
-    selector = {"identity": "kind", "convert": "direction"}.get(command)
-    if selector is not None:  # a key that this kind or direction does not read
-        choice = cfg.get(selector, "to-gauge")
-        reads = _CHOICES[selector][choice]
-        if choice == "additivity" and "preset" in cfg:
-            reads, choice = ("preset",), f"{choice} with a preset"
-        unread = sorted(set(cfg) - {selector, *reads, *_COMMON})
+    if command in ("identity", "convert"):  # a key its kind or direction does not read
+        name = _reading(cfg, cfg["kind"] if command == "identity"
+                        else cfg.get("direction", "to-gauge"))
+        unread = sorted(set(cfg) - {"kind", "direction", *_READS[name], *_COMMON})
         if unread:
-            raise ConfigError(f"{command} {choice} does not read {', '.join(unread)}")
+            raise ConfigError(f"{command} {name} does not read {', '.join(unread)}")
     for key, kind in _FLAG_TYPES.items():
         if key not in cfg:
             continue

@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, islice, product, repeat
 from typing import Callable, Optional
 
 from .intervals import (Box, DyadicTable, Partition, as_point, as_rational, fsum,
@@ -597,9 +597,9 @@ _BUILTINS = {"hk_primitive": _hk_primitive, "hk_derivative": _hk_derivative,
 # Interval functions
 
 
-def _corner_sign(corner, box: Box) -> int:
-    lows = sum(1 for c, (lo, _hi) in zip(corner, box.intervals) if c == lo)
-    return -1 if lows % 2 else 1
+def _corner_signs(dim: int) -> list:
+    """(-1)^(#lo coordinates) of each corner, in the (lo, hi) product order."""
+    return [-1 if bits.count(0) % 2 else 1 for bits in product((0, 1), repeat=dim)]
 
 
 class _BoxFunction:
@@ -700,34 +700,47 @@ class IntervalFunction(_BoxFunction):
     def heaviside(cls, c) -> "IntervalFunction":
         return cls.from_generator(PointFunction.builtin(f"heaviside_{as_rational(c)}"))
 
-    def generator_at(self, corner, floats) -> float:
-        """g at a corner whose floats are `floats`: exactly where they are not
-        the corner, which they may put across a jump of g (heaviside_c's at
-        c), else by `fast_eval` on them."""
-        if floats != corner:
-            try:
-                v = self.generator.eval_exact(tuple(map(Fraction, corner)))
-            except (ValueError, ArithmeticError):
-                v = None
-            if v is not None:
-                return float(v)
-        return float(self.generator.fast_eval(floats))
+    def _increment(self, axes, signs) -> float:
+        """G of the box with these (lo, hi) ends per axis, each (exact, float),
+        and corner `signs`: g exactly at a corner whose floats are not it, as
+        they may lie across a jump of g (heaviside_c's at c), else on them."""
+        gen, terms = self.generator, []
+        for sign, corner in zip(signs, product(*axes)):
+            exact, floats = zip(*corner)
+            v = None
+            if floats != exact:
+                try:
+                    v = gen.eval_exact(tuple(map(Fraction, exact)))
+                except (ValueError, ArithmeticError):
+                    pass
+            terms.append(sign * (gen.fast_eval(floats) if v is None else float(v)))
+        return fsum(terms)
+
+    def on_grid(self, grid) -> Callable:
+        """`_BoxFunction.on_grid`; a corner G is read exactly only at the grid
+        box's ends, on the grid's floats inside (`value`: at its Box's ends)."""
+        if self.kind != "corner":
+            return super().on_grid(grid)
+        signs, ends = _corner_signs(grid.dim), grid.box.intervals
+        return lambda d, js: self._increment(
+            [((lo if j == 0 else a, a), (hi if j + 1 == 1 << d else b, b))
+             for (a, b), j, (lo, hi) in zip(grid.bounds((d, js)), js, ends)], signs)
 
     def _formula(self, box: Box) -> float:
         if self.kind == "volume":
             return float(box.volume)
-        return fsum([_corner_sign(corner, box) * self.generator_at(corner, point_floats(corner))
-                     for corner in box.corners()])
+        return self._increment([((lo, float(lo)), (hi, float(hi))) for lo, hi in box.intervals],
+                               _corner_signs(box.dim))
 
     def value_exact(self, box: Box) -> Optional[Fraction]:
         if self.kind != "corner":
             return box.volume if self.kind == "volume" else None
         total = Fraction(0)
-        for corner in box.corners():
+        for sign, corner in zip(_corner_signs(box.dim), box.corners()):
             v = self.generator.eval_exact(corner)
             if v is None:
                 return None
-            total += _corner_sign(corner, box) * v
+            total += sign * v
         return total
 
 

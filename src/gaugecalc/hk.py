@@ -47,8 +47,9 @@ and a table (`intervals.DyadicTable`) is one float list per depth, which
 iterates by depth, then lexicographically.  An exact `Box` is built only
 for a cell returned, passed to a psi other than the residual's or to a G
 that needs one, or named in an error.  A corner-generated G reads its
-generator g exactly at a corner whose float is not the corner, on the
-tree's box ends as on a Box (`IntervalFunction.generator_at`).
+generator exactly where a corner's float is not the corner only at the
+ends of the box it reads: the tree, as every grid, at the integration
+box's (`IntervalFunction.on_grid`), `G.value` at the given Box's corners.
 Every value and table entry summed over cells is correctly rounded
 (`intervals.fsum`), so it does not depend on the order of the cells.  The
 running totals that decide when a run stops (`sum_values`, `sum_defects`
@@ -249,20 +250,7 @@ class _Leaf:
 def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
     if G.kind == "volume":
         return geom.volume
-    if G.kind == "corner":
-        # a corner is exact at the box's ends and the grid's float elsewhere;
-        # sign (-1)^(#lo coords), in the (lo, hi) product order of the corners
-        signs = [-1.0 if bits.count(0) % 2 else 1.0 for bits in geom.bits]
-
-        def g_eval(key):  # each corner as (exact, float) per axis
-            d, js = key
-            axes = [((lo if j == 0 else a, a), (hi if j + 1 == 1 << d else b, b))
-                    for (a, b), j, (lo, hi) in zip(geom.bounds(key), js, geom.box.intervals)]
-            return fsum([s * G.generator_at(*zip(*c))
-                         for s, c in zip(signs, itertools.product(*axes))])
-        return g_eval
-
-    read = G.on_grid(geom)  # a table on the integration box by (d, js)
+    read = G.on_grid(geom)  # a corner G as on every grid, a table on the box
 
     def g_eval(key):
         try:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gaugecalc
-from gaugecalc.cli import _CHOICES, main
+from gaugecalc.cli import _READS, _reading, main
 
 
 def run(argv, capsys):
@@ -358,6 +358,15 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"config error: {argv[0]} {unread}\n"
 
+    @pytest.mark.parametrize("direction", [[1], {"to": "gauge"}])
+    def test_a_direction_of_the_wrong_type_exits_2(self, direction, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"direction": direction}))
+        code, out, err = run(["convert", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("config error: direction must be one of to-gauge, to-control, "
+                       f"got {direction!r}\n")
+
     def test_a_config_key_that_the_kind_does_not_read_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "change", "preset": "square", "f": "x"}))
@@ -381,11 +390,8 @@ class TestErrors:
     ])
     def test_each_kind_and_direction_runs_with_the_keys_it_reads(self, argv, capsys):
         choice = argv[1] if argv[0] == "identity" else argv[2]
-        given = [a[2:].replace("-", "_") for a in argv[2:] if a.startswith("--")]
-        reads = {**_CHOICES["kind"], **_CHOICES["direction"]}[choice]
-        # additivity reads its preset, or else its other keys
-        reads = [key for key in reads if (key == "preset") == ("preset" in given)]
-        assert sorted(set(given) - {"direction"}) == sorted(reads) != []
+        given = {a[2:].replace("-", "_") for a in argv[2:] if a.startswith("--")} - {"direction"}
+        assert sorted(given) == sorted(_READS[_reading(dict.fromkeys(given), choice)])
         code, out, err = run(argv, capsys)
         assert code == 0, err
         assert out

@@ -3,7 +3,7 @@ ends with exit code 0, 1 or 2 and no traceback, and exit 2 prints exactly
 one line on stderr.
 
 Each subcommand draws the flags it reads (`cli.COMMANDS`); `identity` and
-`convert` draw those of the chosen kind or direction (`cli._CHOICES`), and
+`convert` draw those of the chosen kind or direction (`cli._READS`), and
 one time in sixteen one flag that it does not read.  Values are valid and
 hostile mixed.  `--budget`, `--depth`, `--K` and `--samples` are
 capped and always given.  The commands that integrate with no `--budget`
@@ -24,7 +24,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaugecalc.cli import _CHOICES, COMMANDS, main
+from gaugecalc.cli import _CHOICES, _READS, COMMANDS, main
 
 # every flag draws a hostile value one time in eight: from HOSTILE, or
 # from its own list of the wrong kind
@@ -82,8 +82,6 @@ FLAGS = {  # key: (valid values, hostile values)
 # the values of the commands that integrate with no --budget
 QUICK = {"f": values(QUICK_F), "tol": values(TOLS)}
 KINDS = list(_CHOICES["kind"])
-# the keys that each kind of identity and each direction of convert reads
-READS = {**_CHOICES["kind"], **_CHOICES["direction"]}
 
 
 # keys whose values bound the run: a number is drawn below the same cap
@@ -126,14 +124,13 @@ def number(draw, key, quick):
 def keys_of(draw, command, choice):
     """(the keys that `command`, or its kind or direction `choice`, reads,
     `kind` and `direction` aside, with `format` and `out`; the keys always
-    given; whether only tol bounds the run).  Additivity draws its preset
-    or else its other keys; one time in sixteen a key that the choice does
-    not read is added, and always given."""
+    given; whether only tol bounds the run).  Additivity draws the keys of
+    one of its two entries, with a preset or without; one time in sixteen
+    a key that the choice does not read is added, and always given."""
     quick = command in ("convert", "identity", "mct")
     every = [key for key in COMMANDS[command][1] if key not in ("kind", "direction")]
-    keys = list(READS.get(choice, every))
-    if choice == "additivity":
-        keys = keys[:1] if draw(st.booleans()) else keys[1:]
+    entries = [name for name in (choice, f"{choice} with a preset") if name in _READS]
+    keys = list(_READS[draw(st.sampled_from(entries))] if entries else every)
     always = set(CAPS) | ({"tol"} if quick else set())
     unread = [key for key in every if key not in keys]
     if unread and draw(st.integers(0, 15)) == 0:

@@ -293,9 +293,13 @@ def ref_tested_boxes(box, x, level, translates):
 
 
 def ref_residuals(F, f, G, Phi, box, x, level, translates=True):
-    fx = f(x)
-    return [(Q, abs(F.value(Q) - fx * G.value(Q)), Phi.value(Q))
-            for Q in ref_tested_boxes(box, x, level, translates)]
+    """The cell is read on the grid of `box`, as every reader on a grid
+    reads a function (`on_grid`), and each translate as a lone Box."""
+    fx, grid = f(x), DyadicGrid(box, level)
+    cell, *others = ref_tested_boxes(box, x, level, translates)
+    rows = [(cell, *(H.on_grid(grid)(*grid.key(cell)) for H in (F, G, Phi)))]
+    rows += [(Q, F.value(Q), G.value(Q), Phi.value(Q)) for Q in others]
+    return [(Q, abs(FQ - fx * GQ), PhiQ) for Q, FQ, GQ, PhiQ in rows]
 
 
 def ref_profile(F, f, G, Phi, box, x, levels, translates=True):

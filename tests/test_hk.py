@@ -201,6 +201,26 @@ class TestHkIntegrate:
         cells = [(Box.of((0, "1/6")), "1/12"), (Box.of(("1/6", "1/3")), "1/3")]
         assert riemann_sum("x", H, cells) == 1 / 3
 
+    def test_every_grid_reads_a_corner_g_as_the_tree(self):
+        # on [0, 2/3] the corner 1/3 is inside the box: the tree, and the
+        # delta-variation DP and mc through on_grid, read g on its float
+        # (< 1/3), so the jump falls in [1/3, 2/3]; a lone Box is read
+        # exactly at its own corners, so the jump falls in [0, 1/3]
+        box, H = Box.of((0, "2/3")), IntervalFunction.heaviside("1/3")
+        g_eval = hk._make_g_eval(H, DyadicGrid(box, hk.CHAIN_DEPTH_CAP + 3))
+        grid = DyadicGrid(box, 8)
+        read = H.on_grid(grid)
+        for d in range(9):
+            for j in range(2**d):
+                assert g_eval((d, (j,))).hex() == read(d, (j,)).hex()
+        assert [read(1, (j,)) for j in (0, 1)] == [0.0, 1.0]
+        assert [H.value(grid.cell(1, (j,))) for j in (0, 1)] == [1.0, 0.0]
+        assert read(0, (0,)) == H.value(box) == 1.0
+        # so the residual of the tree's own table sees no jump at 1/3
+        F = indefinite_hk("1", H, box, depth=3, tol=1e-9)
+        psi = residual_cell_fn("1", H, F)
+        assert delta_variation_dp(psi, box, Gauge.constant(1), 3) == 0.0
+
     def test_inv_sqrt(self):
         result = hk_integrate("inv_sqrt", LENGTH, Box.unit(), tol=1e-4)
         assert result.converged
