@@ -27,18 +27,19 @@ oscillating-unbounded derivatives (hk_derivative) alike, where any fixed
 interior-tag rule provably stalls.
 
 A run stops when the summed defects and the change between two successive
-global sums are both below tol/2.  An indefinite table first refines every
-cell down to its grid depth, known up front, so it goes a whole level at a
-time on flat float lists: f takes the level's new probes in one
-`PointFunction.eval_block` call, with one G value per level when G is the
-volume.  The probes, running sums, rings and grid leaves are those of
-refining leaf by leaf, and in the same order, except the edge-gap corners,
-which come after the level's probes.  No leaf exists above the grid depth
-but the nest's, and a grid leaf's probe caches are sliced from the last
-three lists on its first refinement, so a table that converges at its grid
-depth builds none.  These forced grid levels count as refinement rounds,
-so a table whose grid already meets tol stops at its grid depth; past it,
-the adaptive phase refines leaf by leaf.
+global sums are both below tol/2.  Every probe, a term f(tag) G(Q) of the
+sums, is taken on one path, `_Tree.probes`, a block of the cells some
+levels below one cell: f takes their tags in one `PointFunction.eval_block`
+call, G is one value per level when it is the volume, and the first
+failure in f's order is raised, f's before G's at one probe.  The root is
+four blocks, each new leaf one (its probes three levels down), and an
+indefinite table, which first refines every cell down to its grid depth,
+one per level, in the order of refining leaf by leaf but for a level's
+edge-gap corners, which come after its probes.  No leaf exists above the
+grid depth but the nest's, and a grid leaf's probe caches are sliced from
+the last three levels on its first refinement.  The forced levels count as
+refinement rounds, so a table whose grid already meets tol stops at its
+grid depth; past it, the adaptive phase refines leaf by leaf.
 
 The tree, the table assembly and the delta-variation DP key their cells
 (depth, integer indices) on an `intervals.DyadicGrid`, the one index of
@@ -268,7 +269,7 @@ class _Tree:
     def __init__(self, f: PointFunction, G: IntervalFunction, box: Box, budget):
         self.geom = DyadicGrid(box, CHAIN_DEPTH_CAP + 3)  # probes: 3 levels below a leaf
         self.f_eval, self.f_block = f.fast_eval, f.eval_block
-        self.g_eval = _make_g_eval(G, self.geom)
+        self.g_eval, self.volume = _make_g_eval(G, self.geom), G.kind == "volume"
         self.budget = budget
         self.share = 0.0  # the nest's share of the tolerance, set by run()
         self.evals = 0
@@ -302,29 +303,52 @@ class _Tree:
         trap = total / len(corners) * self.g_eval(key)
         return abs(trap - s1)
 
-    def _probe(self, key, nest):
-        """(nest or None, s1) for a cell, one f evaluation; `nest` is its
-        parent's (the tree's, at the root): only the corner cell of a tagged
-        cell is tagged."""
-        singular = nest if nest is not None and key[1] == nest.cell(key[0]) else None
-        tag = singular.floats if singular is not None else self.geom.center(key)
-        self.evals += 1
+    def probes(self, key, nest, r, order=None) -> list:
+        """s1 = f(tag) G(Q) of each cell Q r levels below cell `key`, in
+        nested order, tagged at its center or, at the corner cell when `nest`
+        (the nest of `key`, or None) tags `key`, at the nest's point.  f takes
+        the tags in one `eval_block` call, in `order` (nested positions) if
+        given; the first failure in that order is raised, f's before G's."""
+        geom = self.geom
+        tags = geom.centers(key, r)
+        if nest is not None:
+            tags[geom.index(r, nest.cell(r))] = nest.floats
+        tags = tags if order is None else [tags[i] for i in order]
+        self.evals += len(tags)
+        fx, failure = [], None
         try:
-            fv = self.f_eval(tag)
+            self.f_block(tags, fx)
         except (ValueError, ArithmeticError) as e:
-            raise TagEvalError(tag, self.geom.cell(*key), e) from e
-        return singular, fv * self.g_eval(key)
+            failure = e  # fx holds f at the tags before the failing one
+        if self.volume and failure is None:
+            g = geom.volume((key[0] + r, key[1]))
+            s1 = [fv * g for fv in fx]
+        else:
+            keys = geom.descendants(key, r)
+            keys = keys if order is None else [keys[i] for i in order]
+            s1 = [fv * self.g_eval(k) for fv, k in zip(fx, keys)]
+        if failure is not None:
+            raise TagEvalError(tags[len(fx)], geom.cell(*keys[len(fx)]), failure) from failure
+        return s1 if order is None else [v for _, v in sorted(zip(order, s1))]
+
+    def cache(self, key, nest, r, values=None) -> list:
+        """(key, nest or None, s1) of each cell r levels below cell `key`, in
+        nested order, from its s1 `values`, or else from one `probes` block."""
+        if values is None:
+            values = self.probes(key, nest, r)
+        corner = nest and nest.cell(key[0] + r)
+        return [(k, nest if k[1] == corner else None, v)
+                for k, v in zip(self.geom.descendants(key, r), values)]
 
     # -- leaf management
 
     def make_leaf(self, key, probe=None, l2=None, l3=None, ring=None):
-        singular, s1 = probe if probe is not None else self._probe(key, self.nest)
-        children = self.geom.children
-        if l2 is None:
-            l2 = [(ck,) + self._probe(ck, singular) for ck in children(key)]
-        if l3 is None:
-            l3 = [(gk,) + self._probe(gk, c[1]) for c in l2 for gk in children(c[0])]
-        l4 = [(hk,) + self._probe(hk, g[1]) for g in l3 for hk in children(g[0])]
+        """The leaf of cell `key` from its probe (nest or None, s1) and its
+        cached probes one and two levels down, each one block where not
+        given (at the root); the probes three levels down are one block."""
+        singular, s1 = probe or (self.nest, self.probes(key, self.nest, 0)[0])
+        l2, l3 = l2 or self.cache(key, singular, 1), l3 or self.cache(key, singular, 2)
+        l4 = self.cache(key, singular, 3)
         value, defect = self._estimate(key, singular, s1, fsum([c[2] for c in l2]),
                                        fsum([g[2] for g in l3]), fsum([h[2] for h in l4]))
         return self.add_leaf(_Leaf(key, singular, value, defect, l2, l3, l4, ring))
@@ -401,16 +425,13 @@ class _Tree:
 
     def caches(self, leaf):
         """The leaf's cached probes one, two and three levels down; a leaf
-        of `force_grid` gets them here, on first use, as slices of the
-        grid's last three probe lists, with the nest's probe tagged."""
+        of `force_grid` gets them here, on first use, from slices of the
+        grid's last three probe lists."""
         if leaf.l2 is None:
-            geom, (d, js), nest = self.geom, leaf.key, leaf.singular
-            c, caches = geom.index(d, js), []
-            for r, v in enumerate(self.grid_probes, 1):
-                n, corner = 2 ** (geom.dim * r), nest and nest.cell(d + r)
-                caches.append([(k, nest if k[1] == corner else None, s1) for k, s1 in
-                               zip(geom.descendants(leaf.key, r), v[c * n:(c + 1) * n])])
-            leaf.l2, leaf.l3, leaf.l4 = caches
+            c, n = self.geom.index(*leaf.key), self.geom.dim
+            leaf.l2, leaf.l3, leaf.l4 = [
+                self.cache(leaf.key, leaf.singular, r, v[c << n * r:(c + 1) << n * r])
+                for r, v in enumerate(self.grid_probes, 1)]
         return leaf.l2, leaf.l3, leaf.l4
 
     def refine(self, leaf):
@@ -418,27 +439,23 @@ class _Tree:
         l2, l3, l4 = self.caches(leaf)
         ring = self.open_ring(leaf)
         for i, (ck, csing, cs1) in enumerate(l2):
-            self.make_leaf(ck, probe=(csing, cs1),
-                           l2=l3[i * m:(i + 1) * m],
-                           l3=l4[i * m * m:(i + 1) * m * m],
-                           ring=None if csing is not None else ring)
+            self.make_leaf(ck, (csing, cs1), l3[i * m:(i + 1) * m],
+                           l4[i * m * m:(i + 1) * m * m], None if csing is not None else ring)
 
     def force_grid(self, root, depth):
         """Refine every cell, level by level, from `root` down to `depth`;
         returns the total before the last level.
 
-        A level is one tag list, one `eval_block` call and one flat float
-        list of probes, at their cells' positions in nested order below the
-        root (`DyadicGrid.index`), so a cell's probes one, two and three
-        levels down are slices of the last three lists.  The running sums
-        and rings take the steps of refining each level's cells in key
+        A level is one `probes` block, a flat float list in nested order
+        below the root (`DyadicGrid.index`), so a cell's probes one, two and
+        three levels down are slices of the last three lists.  The running
+        sums and rings take the steps of refining each level's cells in key
         order, and f sees the same tags in the same order, except that a
         level's edge-gap corners come after its probes.  Above `depth` no
         leaf is made but the nest's, which `update_nest` reads; the leaves
         at `depth` get their probe caches from `caches`, on first refinement.
         """
-        geom, m, nest = self.geom, 2**self.geom.dim, self.nest
-        n, volume = m**3, self.g_eval == geom.volume
+        geom, m, n, nest = self.geom, 2**self.geom.dim, 8**self.geom.dim, self.nest
         vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
         # the level's cells in key order, as nested positions, and each
         # one's (value, defect, ring), or None for a leaf: the root, the nest's
@@ -451,26 +468,7 @@ class _Tree:
             kids = [c for p in order for c in range(p * m, p * m + m)]
             # f sees the probes in key order of their parents, in 1-D the nested order
             perm = None if geom.dim == 1 else [i for c in kids for i in range(c * n, c * n + n)]
-            tags = geom.centers(root.key, d + 4)
-            if nest is not None:
-                tags[geom.index(d + 4, nest.cell(d + 4))] = nest.floats
-            tags = tags if perm is None else [tags[i] for i in perm]
-            self.evals += len(tags)
-            fvals = []
-            try:
-                self.f_block(tags, fvals)
-            except (ValueError, ArithmeticError) as e:
-                bad = len(fvals)
-                cell = geom.cell(*geom.descendants(keys[kids[bad // n]], 3)[bad % n])
-                raise TagEvalError(tags[bad], cell, e) from e
-            if perm is not None:  # back to nested order
-                fvals = [fv for _, fv in sorted(zip(perm, fvals))]
-            if volume:  # one G value per level
-                g = geom.volume((d + 4, (0,) * geom.dim))
-                v4 = [fv * g for fv in fvals]
-            else:
-                gs = map(self.g_eval, geom.descendants(root.key, d + 4))
-                v4 = [fv * gv for fv, gv in zip(fvals, gs)]
+            v4 = self.probes(root.key, nest, d + 4, perm)
             spot = -1 if nest is None else geom.index(d + 1, nest.cell(d + 1))  # the nest's cell
             cells = [None] * len(keys)
             for p in order:

@@ -244,7 +244,6 @@ def crit_10_monotone_convergence(outdir):
     report = mct_experiment(
         members, PointFunction.builtin("inv_sqrt"), (0, 1), K=64, tol=1e-3,
         F_seq=antis, F=PointFunction.from_expr("2*sqrt(x)"),
-        integral_tol=1e-6,
     )
     assert not report.divergent and report.converged
     column = [v for _, v in report.rows]

@@ -145,7 +145,6 @@ class TestMctExperiment:
         report = mct_experiment(
             members, PointFunction.builtin("inv_sqrt"), (0, 1), K=24,
             tol=1e-2, F_seq=antis, F=PointFunction.from_expr("2*sqrt(x)"),
-            integral_tol=1e-6,
         )
         assert not report.divergent and report.converged
         column = [v for _, v in report.rows]

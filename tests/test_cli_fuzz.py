@@ -5,7 +5,9 @@ one line on stderr.
 Each subcommand draws the flags it reads (`cli.COMMANDS`); `identity` and
 `convert` draw those of the chosen kind or direction (`cli._READS`), and
 one time in sixteen one flag that it does not read.  Values are valid and
-hostile mixed.  `--budget`, `--depth`, `--K` and `--samples` are
+hostile mixed.  A share of the draws, a few per subcommand and identity
+kind, gives every flag that it reads a valid value (a preset of its own
+kind), so the library runs.  `--budget`, `--depth`, `--K` and `--samples` are
 capped and always given.  The commands that integrate with no `--budget`
 to bound them always get a `--tol` of 1e-3 or more and draw only
 integrands that end quickly, so a run that cannot converge (item 13) does
@@ -21,10 +23,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaugecalc.cli import _CHOICES, _READS, COMMANDS, main
+from gaugecalc.cli import _CHOICES, _READS, COMMANDS, IDENTITY_PRESETS, main
 
 # every flag draws a hostile value one time in eight: from HOSTILE, or
 # from its own list of the wrong kind
@@ -37,7 +40,7 @@ QUICK_F = ["x", "2*x", "x^2", "3/2*x - x^2/4", "cos(x)", "exp(x)", "1", "0", "lo
 ANY_F = QUICK_F + ["1/x", "x^(0-1/2)", "sin(1/x)", "ite(x<1/3,0,1)", "abs(x-3/50)",
                    "hk_derivative", "hk_primitive", "inv_sqrt", "0/0"]
 BAD_F = ["x2", "x1*x2", "((x", "x+", "foo(x)", "2**x", "x^x^x", "heaviside_1/2"]
-BOXES = ["[0,1]", "[-1,1]", "[1/3,1/2]", "[[0,1],[0,1]]", '[["0","3/4"],["1/5","1"]]']
+BOXES = ["[0,1]", "[-1,1]", '["1/3","1/2"]', "[[0,1],[0,1]]", '[["0","3/4"],["1/5","1"]]']
 BAD_BOXES = ["[1,0]", "[0,0]", "[0]", "[0,1,2]", "[]", "{}", "null", "[0,inf]", "[nan,1]",
              "[0,1e308]", "[-1e308,1e308]", '[["-1e999","1"]]', "[1e-320,1e-310]",
              "[[0,1],[0,1],[0,1]]", '["a","b"]', "[true,1]"]
@@ -54,6 +57,10 @@ def ints(hi):
 
 
 EXPRS = values(ANY_F)
+# the presets of each identity kind and of mct; not the `hk` additivity
+# preset, which takes seconds
+PRESETS = {kind: [p for p in presets if p != "hk"] for kind, presets in IDENTITY_PRESETS.items()}
+PRESETS["mct"] = ["min-inv-sqrt", "constant", "diverging"]
 FLAGS = {  # key: (valid values, hostile values)
     "f": (EXPRS, values(BAD_F) | st.text("x0123456789+-*/^(). ", max_size=10)),
     "F": (EXPRS, values(BAD_F)), "phi": (values(["x", "x^2", "2*x", "exp(x)"]), values(BAD_F)),
@@ -71,14 +78,18 @@ FLAGS = {  # key: (valid values, hostile values)
     "a": (values(POINTS), values(["abc", "1e999"])), "b": (values(POINTS), values(["1e999"])),
     "c": (values(POINTS), values(["1e999", "1/0"])),
     "grid": (values(["0,1", "0,1/2,1", "0,1/4,1/2,3/4,1"]), values(["0,0,1", "1,0", "0,2,1"])),
-    # not the `hk` additivity preset, which takes seconds
-    "preset": (values(["ones", "sin-x", "zero", "square", "sqrt", "exp", "const", "inv-sqrt",
-                       "min-inv-sqrt", "constant", "diverging"]), values(["nope"])),
+    "preset": (values(*PRESETS.values()), values(["nope"])),
     "direction": (values(["to-gauge", "to-control"]), values(["sideways"])),
     "format": (values(["csv", "json"]), values(["xml"])),
     # a file; a directory, or a file in a missing directory
     "out": (values(["{tmp}/out.csv"]), values(["{tmp}", "{tmp}/no/out.csv"])),
 }
+# valid values that depend on the identity kind or the command: its own
+# presets, a 1-D box for the tables, and a < b < c
+VALID_FOR = {**{(kind, "preset"): presets for kind, presets in PRESETS.items()},
+             **{(kind, "box"): BOXES[:3] for kind in ("monotone", "constancy")},
+             ("additivity", "a"): ["0", "1/3"], ("additivity", "b"): ["1/2"],
+             ("additivity", "c"): ["1", "2"]}
 # the values of the commands that integrate with no --budget
 QUICK = {"f": values(QUICK_F), "tol": values(TOLS)}
 KINDS = list(_CHOICES["kind"])
@@ -102,12 +113,15 @@ OTHER_JSON = (SCALARS.filter(lambda v: not isinstance(v, str))
               | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
 
 
-def flag_value(draw, key, quick):
-    """A flag's value as text, hostile one time in eight."""
-    valid, hostile = FLAGS[key]
-    if draw(st.integers(0, 7)) == 0:  # --out abc would write ./abc
+def flag_value(draw, key, quick, valid=False, choice=None):
+    """A flag's value as text, hostile one time in eight unless `valid`;
+    then valid for `choice`, an identity kind or a command (`VALID_FOR`)."""
+    good, hostile = FLAGS[key]
+    if not valid and draw(st.integers(0, 7)) == 0:  # --out abc would write ./abc
         return draw(hostile if key == "out" else values(HOSTILE) | hostile)
-    return draw(QUICK.get(key, valid) if quick else valid)
+    if valid and (choice, key) in VALID_FOR:
+        return draw(values(VALID_FOR[choice, key]))
+    return draw(QUICK.get(key, good) if quick else good)
 
 
 def number(draw, key, quick):
@@ -121,70 +135,78 @@ def number(draw, key, quick):
     return draw(st.floats(1e-3 if quick else 1e-9, 10.0))
 
 
-def keys_of(draw, command, choice):
+def keys_of(draw, command, choice, valid):
     """(the keys that `command`, or its kind or direction `choice`, reads,
     `kind` and `direction` aside, with `format` and `out`; the keys always
-    given; whether only tol bounds the run).  Additivity draws the keys of
-    one of its two entries, with a preset or without; one time in sixteen
-    a key that the choice does not read is added, and always given."""
+    given, all of them if `valid`; whether only tol bounds the run).
+    Additivity draws the keys of one of its two entries, with a preset or
+    without; one time in sixteen, unless `valid`, a key that the choice
+    does not read is added, and always given."""
     quick = command in ("convert", "identity", "mct")
     every = [key for key in COMMANDS[command][1] if key not in ("kind", "direction")]
     entries = [name for name in (choice, f"{choice} with a preset") if name in _READS]
     keys = list(_READS[draw(st.sampled_from(entries))] if entries else every)
     always = set(CAPS) | ({"tol"} if quick else set())
     unread = [key for key in every if key not in keys]
-    if unread and draw(st.integers(0, 15)) == 0:
+    if valid:
+        always.update(keys, ["format", "out"])
+    elif unread and draw(st.integers(0, 15)) == 0:
         keys.append(draw(st.sampled_from(unread)))
         always.add(keys[-1])
     return keys + ["format", "out"], always, quick
 
 
-def direction(draw, config):
+def direction(draw, config, valid):
     """convert's direction: None (to-gauge) one time in ten, else as any
     key is drawn, of the wrong type one time in eight in a config."""
     if not draw(st.integers(0, 9)):
         return None
-    if config and draw(st.integers(0, 7)) == 0:
+    if config and not valid and draw(st.integers(0, 7)) == 0:
         return draw(OTHER_JSON)
-    return flag_value(draw, "direction", False)
+    return flag_value(draw, "direction", False, valid)
 
 
 @st.composite
-def argvs(draw):
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+def argvs(draw, command=None, valid=False, kind=None):
+    """An argv of `command`, or of any, and of the identity `kind`, or of
+    any; with only valid values if `valid` (given an identity kind)."""
+    command = command or draw(st.sampled_from(sorted(COMMANDS)))
     argv, choice = [command], None
-    if command == "identity" and draw(st.integers(0, 9)):
-        choice = draw(st.sampled_from(KINDS + ["nope"]))
+    if command == "identity" and (valid or draw(st.integers(0, 9))):
+        choice = kind or draw(st.sampled_from(KINDS + ["nope"]))
         argv.append(choice)
     if command == "convert":
-        choice = direction(draw, False)
+        choice = direction(draw, False, valid)
         argv += [] if choice is None else [f"--direction={choice}"]
-    keys, always, quick = keys_of(draw, command, choice or "to-gauge")
+    keys, always, quick = keys_of(draw, command, choice or "to-gauge", valid)
     for key in draw(st.permutations(keys)):
         if key in always or draw(st.booleans()):
-            value = flag_value(draw, key, quick)
+            value = flag_value(draw, key, quick, valid, choice or command)
             flag = "--" + key.replace("_", "-")
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 
 @st.composite
-def configs(draw):
-    """(argv without the --config flag, config object)."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+def configs(draw, command=None, valid=False, kind=None):
+    """(argv without the --config flag, config object), as `argvs`."""
+    command = command or draw(st.sampled_from(sorted(COMMANDS)))
     argv, cfg, choice = [command], {}, None
     if command == "identity":  # the argument overrides the config's kind
-        choice = draw(st.sampled_from(KINDS))
+        choice = kind or draw(st.sampled_from(KINDS))
         argv.append(choice)
-        cfg["kind"] = draw(st.sampled_from(KINDS + ["nope"]) | OTHER_JSON)
+        cfg["kind"] = choice if valid else draw(st.sampled_from(KINDS + ["nope"]) | OTHER_JSON)
     if command == "convert":
-        choice = direction(draw, True)
+        choice = direction(draw, True, valid)
         if choice is not None:
             cfg["direction"] = choice
-    keys, always, quick = keys_of(draw, command, choice if isinstance(choice, str) else "to-gauge")
+    keys, always, quick = keys_of(draw, command,
+                                  choice if isinstance(choice, str) else "to-gauge", valid)
     for key in draw(st.permutations(keys)):
         if key in always or draw(st.booleans()):
-            if draw(st.integers(0, 7)) == 0:  # mostly of the wrong type
+            if valid:  # as a flag gives it
+                cfg[key] = flag_value(draw, key, quick, True, choice or command)
+            elif draw(st.integers(0, 7)) == 0:  # mostly of the wrong type
                 cfg[key] = draw(OTHER_JSON)
             elif key in NUMERIC and draw(st.booleans()):
                 cfg[key] = number(draw, key, quick)
@@ -213,8 +235,11 @@ def check(code, err, case):
         assert len(err.strip().splitlines()) == 1, (case, err)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
 @given(argvs())
 def test_every_argv_ends_with_0_1_or_2_and_no_traceback(argv):
     with tempfile.TemporaryDirectory() as tmp:
@@ -222,8 +247,7 @@ def test_every_argv_ends_with_0_1_or_2_and_no_traceback(argv):
     check(code, err, argv)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@FUZZ
 @given(configs())
 def test_every_config_ends_with_0_1_or_2_and_no_traceback(case):
     argv, cfg = case
@@ -235,3 +259,18 @@ def test_every_config_ends_with_0_1_or_2_and_no_traceback(case):
             json.dump(cfg, handle)
         code, err = run_main(argv + ["--config", path], tmp)
     check(code, err, case)
+
+
+# the valid share: a few draws per subcommand and identity kind, so the
+# library runs each one
+VALID_CASES = [(c, None) for c in sorted(COMMANDS) if c != "identity"] + [
+    ("identity", kind) for kind in KINDS]
+
+
+@pytest.mark.parametrize("command,kind", VALID_CASES,
+                         ids=[" ".join(filter(None, case)) for case in VALID_CASES])
+def test_every_valid_argv_and_config_ends_with_0_1_or_2_and_no_traceback(command, kind):
+    for test, cases in ((test_every_argv_ends_with_0_1_or_2_and_no_traceback, argvs),
+                        (test_every_config_ends_with_0_1_or_2_and_no_traceback, configs)):
+        settings(FUZZ, max_examples=8)(given(cases(command, True, kind))(
+            test.hypothesis.inner_test))()

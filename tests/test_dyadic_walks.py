@@ -398,7 +398,9 @@ def test_the_gauge_cases_reach_every_outcome(name):
 class PerLeafTree(hk._Tree):
     """The forced grid as `_Tree.run` walked it before `_Tree.force_grid`: every
     leaf above `depth` refined in key order, level after level, through
-    `refine` and `make_leaf`, one probe at a time.
+    `refine` and `make_leaf`, one probe at a time (`probes` as it was before
+    the tree took its probes in blocks: one `fast_eval`, then one G, per
+    probe).
 
     One order differs, and the log of `recorded` is rearranged to match:
     `_Tree.force_grid` evaluates a level's edge-gap corners after all of
@@ -413,6 +415,20 @@ class PerLeafTree(hk._Tree):
         gap = super()._edge_gap(key, s1, s2)
         self.corners.update(range(start, len(self.f_eval.calls)))
         return gap
+
+    def probes(self, key, nest, r, order=None):
+        assert order is None
+        out = []
+        for k in self.geom.descendants(key, r):
+            tagged = nest is not None and k[1] == nest.cell(k[0])
+            tag = nest.floats if tagged else self.geom.center(k)
+            self.evals += 1
+            try:
+                fv = self.f_eval(tag)
+            except (ValueError, ArithmeticError) as e:
+                raise TagEvalError(tag, self.geom.cell(*k), e) from e
+            out.append(fv * self.g_eval(k))
+        return out
 
     def force_grid(self, root, depth):
         prev, log = None, self.f_eval.calls
@@ -605,6 +621,56 @@ def test_a_failing_tag_mid_grid_raises_as_the_per_leaf_loop():
     assert errors[0] == errors[1]
     assert errors[0][1] == (bad,) and errors[0][2] == Box.of(("77/256", "39/128"))
     assert errors[0][3][-1] == (bad,) and len(errors[0][3]) > 2**8
+
+
+def _log_gap(x):
+    if x <= 1 / 4096:
+        raise ValueError("below the gap")
+    return math.log(x - 1 / 4096)
+
+
+@pytest.mark.parametrize("source", ["callable", "log(x-1/4096)"])
+def test_a_failing_tag_past_the_root_raises_as_the_per_probe_reference(source, monkeypatch):
+    # the run refines toward the log's blow-up until a probe is tagged below it
+    errors = []
+    for cls in (hk._Tree, PerLeafTree):
+        f, calls = recorded(PointFunction.from_callable(_log_gap, "log_gap")
+                            if source == "callable" else source)
+        with monkeypatch.context() as m, pytest.raises(TagEvalError) as err:
+            m.setattr(hk, "_Tree", cls)
+            hk.hk_integrate(f, None, Box.unit(), tol=1e-9)
+        errors.append((str(err.value), err.value.tag, err.value.cell, calls))
+    if source != "callable":  # an expression's block logs every tag it is given
+        errors = [e[:3] for e in errors]
+    assert errors[0] == errors[1]
+    # below the root's probes, which reach depth 3
+    assert errors[0][1] <= (1 / 4096,) and errors[0][2].volume < Fraction(1, 8)
+
+
+@pytest.mark.parametrize("run,depth,bad", [
+    # the root's block three levels down reads G one level below its depth
+    (lambda f, G: hk.hk_integrate(f, G, Box.unit(), tol=1e-6), 2, 15 / 16),
+    # so does the first forced level of a table, four levels down
+    (lambda f, G: indefinite_hk(f, G, Box.unit(), depth=1, tol=1e-6), 3, 31 / 32),
+], ids=["integrate", "table"])
+def test_a_shallow_table_G_wins_over_a_later_f_failure_in_its_block(run, depth, bad,
+                                                                      monkeypatch):
+    def spiky(x):
+        if x == bad:
+            raise ValueError("spike")
+        return x * x
+
+    G = indefinite_hk("x^3", None, Box.unit(), depth=depth, tol=1e-8)
+    errors = []
+    for cls in (hk._Tree, PerLeafTree):
+        f, _ = recorded(PointFunction.from_callable(spiky, "spiky"))
+        with monkeypatch.context() as m, pytest.raises(ValueError) as err:
+            m.setattr(hk, "_Tree", cls)
+            run(f, G)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"G is a table of depth {depth}, ")
+    assert errors[0].endswith(f"on [0,1/{2 ** (depth + 1)}], a depth-{depth + 1} cell")
 
 
 @pytest.mark.parametrize("box", [BOX_1D, BOX_2D], ids=["1d", "2d"])

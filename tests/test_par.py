@@ -57,7 +57,6 @@ def test_mct_experiment_is_bit_identical(forks, monkeypatch):
         report = mct_experiment(
             members, PointFunction.builtin("inv_sqrt"), (0, 1), K=24, tol=1e-2,
             F_seq=antis, F=PointFunction.from_expr("2*sqrt(x)"),
-            integral_tol=1e-6,
         )
         return repr((report.rows, report.to_json_dict(),
                      report.control_verdict.to_json_dict()))
