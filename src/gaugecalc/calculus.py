@@ -156,9 +156,9 @@ class ConstancyReport:
 
 
 def constancy_check(F1, F2, sample_points: Sequence[float]) -> ConstancyReport:
-    """Max deviation of F1 - F2 from its mean over the samples."""
+    """Max deviation of F1 - F2 from its mean over the samples, each passed as given."""
     f1, f2 = as_scalar(F1), as_scalar(F2)
-    diffs = [f1(float(p)) - f2(float(p)) for p in sample_points]
+    diffs = [f1(p) - f2(p) for p in sample_points]
     mean = sum(diffs) / len(diffs)
     return ConstancyReport(max(abs(d - mean) for d in diffs), mean)
 

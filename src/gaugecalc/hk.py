@@ -27,18 +27,21 @@ oscillating-unbounded derivatives (hk_derivative) alike, where any fixed
 interior-tag rule provably stalls.
 
 A run stops when the summed defects and the change between two successive
-global sums are both below tol/2.  Every probe, a term f(tag) G(Q) of the
-sums, is taken on one path, `_Tree.probes`, a block of the cells some
-levels below one cell: f takes their tags in one `PointFunction.eval_block`
-call, G is one value per level when it is the volume, and the first
-failure in f's order is raised, f's before G's at one probe.  The root is
-four blocks, each new leaf one (its probes three levels down), and an
-indefinite table, which first refines every cell down to its grid depth,
-one per level, in the order of refining leaf by leaf but for a level's
-edge-gap corners, which come after its probes.  No leaf exists above the
-grid depth but the nest's, and a grid leaf's probe caches are sliced from
-the last three levels on its first refinement.  The forced levels count as
-refinement rounds, so a table whose grid already meets tol stops at its
+global sums are both below tol/2.  A round refines the nest while its defect
+is over its share, tol/4, and alone while the regular leaves' summed defect
+is under that share, as Dorfler's rule refines only a part over its share;
+else also every regular leaf within 4x of the worst.  Every probe, a term
+f(tag) G(Q) of the sums, is taken on one path, `_Tree.probes`, a block of
+the cells some levels below one cell: f takes their tags in one
+`PointFunction.eval_block` call, G is one value per level when it is the
+volume, and the first failure in f's order is raised, f's before G's at one
+probe.  The root is four blocks, each new leaf one (its probes three levels
+down), and an indefinite table, which first refines every cell down to its
+grid depth, one per level, in the order of refining leaf by leaf but for a
+level's edge-gap corners, which come after its probes.  No leaf exists above
+the grid depth but the nest's, and a grid leaf's probe caches are sliced
+from the last three levels on its first refinement.  The forced levels count
+as refinement rounds, so a table whose grid already meets tol stops at its
 grid depth; past it, the adaptive phase refines leaf by leaf.
 
 The tree, the table assembly and the delta-variation DP key their cells
@@ -508,16 +511,17 @@ class _Tree:
     # -- marking
 
     def select_marks(self):
-        """The nest's leaf if needy + the worst regular leaves (within 4x of the max).
+        """The nest's leaf if needy: alone while the regular leaves' defects sum
+        under its share, else with the worst regular leaves (within 4x of the max).
 
         One pass over the heap, whose live entries (those of a leaf with
         that defect) all have a defect > 0: the first sets the threshold."""
-        # a nest deepens only while its own uncertainty threatens the
-        # tolerance; every extra ring multiplies the resolution bill
         nest, nest_marks, marks = self.nest, [], []
         if (nest is not None and nest.key[0] < CHAIN_DEPTH_CAP
                 and not nest.blocked(self.share) and nest.defect >= self.share):
             nest_marks.append(self.leaves[nest.key])
+            if self.sum_defects < self.share:
+                return nest_marks
         while self.heap:
             neg, key = heapq.heappop(self.heap)
             leaf = self.leaves.get(key)

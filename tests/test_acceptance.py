@@ -74,7 +74,8 @@ def crit_01_classic_nonabsolute(outdir):
     oracle = F((1,)) - F((0,))  # the increment of the antiderivative
     assert result.converged
     assert abs(result.value - oracle) <= 1e-4
-    assert result.evaluations <= 10**7
+    # the rounds that refine the nest alone reorder its cells, but refine the same ones
+    assert result.evaluations == 481_471
     assert elapsed < 60.0
     write_rows(outdir, "crit01.csv", [
         ["value", "oracle", "evaluations"],
@@ -86,7 +87,7 @@ def crit_02_singular_positive(outdir):
     result = hk_integrate("inv_sqrt", LENGTH, UNIT, tol=1e-4)
     assert result.converged
     assert abs(result.value - 2.0) <= 1e-4  # increment of 2 sqrt(x)
-    assert result.evaluations <= 10**7
+    assert result.evaluations == 607
     write_rows(outdir, "crit02.csv", [
         ["value", "evaluations"],
         [repr(result.value), str(result.evaluations)],

@@ -100,6 +100,14 @@ class TestIdentity:
         assert code == 0
         assert json.loads(out)["deviation"] <= 1e-6
 
+    def test_constancy_on_a_box_whose_ends_are_not_floats(self, capsys):
+        # the grid points 1/3 + k/24 are no floats; the tables' prefix sums
+        # read them exactly
+        code, out, _ = run(["identity", "constancy", "--box", '["1/3","1/2"]', "--depth", "2",
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["deviation"] <= 1e-6  # the default --dev-tol
+
 
 class TestVariation:
     def test_dp_and_bruteforce(self, capsys):

@@ -402,40 +402,40 @@ def _nest_text(out) -> str:
 NEST_DIGESTS = [
     ("inv-sqrt-at-0", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(0),)), LENGTH, Box.unit(), tol=1e-6),
-     "1b14fe2fa39fc662d3cbd3661fa6bf380dc96c749061bd7a7f8fd94457ad2266"),
+     "f24de9af732bbf70aaa69561c88edb3bf39fa19f67153965e9d75c741404d3ba"),
     # points at the other corners of their boxes: the upper corner on one
     # axis and the lower on the other, the upper end of a table's box, and
     # an end that is not dyadic
     ("2d-r^-1/2-at-(1,0)", lambda: hk_integrate(
         _r_inv_sqrt((1, 0)), None, Box.unit(2), tol=1e-2),
-     "b778a79e80bae298483ccc7a9c50537622a6f29b9c408cf4a31215f1bffad31d"),
+     "52b11872be304062536a2a0e173badfe7786146d8fd476675711d567583a9477"),
     ("table-inv-sqrt-at-1", lambda: indefinite_hk(
         _inv_sqrt_gaps((1,)), None, Box.unit(), depth=4, tol=1e-6),
-     "2fd0f011d2c8db47bc7990848a96eca0715fb59411e4ab4199fbff057d7cd086"),
+     "83226b0507073b55062886a96aec2d2290077146b94b7905264226ab8d390d2a"),
     ("inv-sqrt-at-1/3-on-[0,1/3]", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 3),)), LENGTH, Box.of((0, "1/3")), tol=1e-6),
-     "3712adf81b0db85c2851e465dbd44cc0ae3c98ba7dcb918e6b79998271d63c89"),
+     "eab04e272fe26bdffa465c9ca893f87d730db301898548215db877314cb4c905"),
     ("inv-sqrt-at-1/3", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 3),)), LENGTH, Box.unit(), tol=1e-6),
-     "e4d39f6877e3d413f128f5524ac4728c798492619c0d9ef8a12702169df883d3"),
+     "299908e11e45d92792ae594fb6c8ce51540e79fd94f47df1a36d8506ebcd0aa8"),
     # two points: four pieces, cut at 1/4, 7/24 and 1/3
     ("anchors-1/4-1/3", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 4), Fraction(1, 3))), LENGTH, Box.unit(), tol=1e-6,
         budget=20_000),
-     "b31e63a10ce45c71b468aa4bd6abfae0732c3e545bae7de6fda376b78afe8a90"),
+     "74b5a9aaaa08c71c2726115b9ca3c1ecdb82874e26859438f39fa0e31a83b7fe"),
     # a point inside a 2-D box: four pieces, each with the point at a corner
     ("2d-r^-1/2-on-a-cut", lambda: hk_integrate(
         _r_inv_sqrt((Fraction(1, 2), Fraction(1, 4))), None, Box.unit(2), tol=1e-2),
-     "e35e8f4862c539e4f37dac4489b2763699f1fff2ac3fcea8a895b47dec2c2578"),
+     "4009fe95873d6b08bd361132734faad7b6f4a3899588523d300b768fe1bdb22f"),
     ("table-anchors-1/4-1/3", lambda: indefinite_hk(
         _inv_sqrt_gaps((Fraction(1, 4), Fraction(1, 3))), None, Box.unit(), depth=5,
         tol=1e-5),
-     "ccc4a248944521bca3b7a2a160cf48b0f355f86263c092da15fb1ae8b7ab38d7"),
+     "43ed8e7abfc73d03aa12802a23d74d1e68bcc8522e7b0e7b06a1b4b3c1fd23b9"),
     # a point at the centre: two pieces (uncut, the nest's defect was 0 at
     # once and the run returned 0, converged; the true value is 2*sqrt(2))
     ("centre-1/2", lambda: hk_integrate(
         _inv_sqrt_gaps((Fraction(1, 2),)), LENGTH, Box.unit(), tol=1e-6),
-     "78e74c68be2ac82a8a9e8754fb699f5fa765e1b98c93bc9911c81a77871441ef"),
+     "764280bb70dd16882ea5841afc609189efb68db2aa764a9add358ff9f295e41a"),
 ]
 
 
@@ -552,9 +552,66 @@ def test_a_nest_counts_its_tagged_cell_once_where_f_is_finite_at_its_point():
 
 
 def test_points_cut_at_a_small_budget_do_not_claim_convergence():
-    result = hk_integrate(_inv_sqrt_gaps(ANCHORS_3[:2]), LENGTH, Box.unit(), tol=1e-6,
-                          budget=20_000)
-    assert not result.converged
+    # the run needs 10,204 evaluations; at 10,000 its pieces stop short
+    f, anchors = _inv_sqrt_gaps(ANCHORS_3[:2]), ANCHORS_3[:2]
+    assert not hk_integrate(f, LENGTH, Box.unit(), tol=1e-6, budget=10_000).converged
+    result = hk_integrate(f, LENGTH, Box.unit(), tol=1e-6, budget=20_000)
+    exact = _gaps_primitive(anchors, 1) - _gaps_primitive(anchors, 0)
+    assert result.converged and abs(result.value - exact) <= 1e-6
+
+
+def _exp_sin(points=()):
+    """exp(x) sin(3x), smooth, declared singular at `points`."""
+    return PointFunction.from_callable(lambda x: math.exp(x) * math.sin(3 * x), "exp_sin",
+                                       singular_points=points)
+
+
+EXP_SIN = (math.e * (math.sin(3) - 3 * math.cos(3)) + 3) / 10  # over [0,1]
+
+
+@pytest.mark.parametrize("points,ratio", [
+    ((Fraction(1, 3),), 5), ((Fraction(1, 5), Fraction(4, 5)), 5),
+    # eight pieces at tol/8, each with its own nest: 3,098 evaluations against
+    # 415 (ROADMAP item 18, one heap over the pieces, is to bring it near 415)
+    ((Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(7, 9)), 8)],
+    ids=["1/3", "1/5-4/5", "1/10-1/3-1/2-7/9"])
+def test_a_smooth_f_declared_at_points_costs_a_few_undeclared_runs(points, ratio):
+    # a round refines the nest alone once the regular leaves are under their
+    # share, so their rounds stop when they converge, not when the nest does
+    plain = hk_integrate(_exp_sin(), LENGTH, Box.unit(), tol=1e-6, budget=100_000)
+    result = hk_integrate(_exp_sin(points), LENGTH, Box.unit(), tol=1e-6, budget=100_000)
+    assert result.converged and abs(result.value - EXP_SIN) <= 1e-6
+    assert result.evaluations <= ratio * plain.evaluations
+
+
+def test_inv_sqrt_at_tol_1e_8_converges_within_1e5_evaluations():
+    result = hk_integrate("inv_sqrt", LENGTH, Box.unit(), tol=1e-8, budget=100_000)
+    assert result.converged and abs(result.value - 2.0) <= 1e-8
+
+
+def _powers(*ps):
+    """sum x^-p over `ps`, declared singular at 0; 0 at 0."""
+    return PointFunction.from_callable(
+        lambda x: 0.0 if x == 0.0 else math.fsum(x ** -p for p in ps), "powers",
+        singular_points=(0,))
+
+
+DECLARED_BATTERY = [  # (id, f, the integral over [0,1])
+    *[(f"x^-{p:.3g}", _powers(p), 1 / (1 - p)) for p in (0.5, 0.6, 2 / 3, 0.75, 0.9)],
+    ("x^-0.6+x^-0.55", _powers(0.6, 0.55), 1 / 0.4 + 1 / 0.45),
+    ("|x-1/3|^-1/2", _inv_sqrt_gaps((Fraction(1, 3),)),
+     2 * math.sqrt(1 / 3) + 2 * math.sqrt(2 / 3)),
+    ("1+x-at-1/2", PointFunction.from_callable(lambda x: 1.0 + x, "1+x",
+                                               singular_points=(Fraction(1, 2),)), 1.5),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+@pytest.mark.parametrize("f,exact", [c[1:] for c in DECLARED_BATTERY],
+                         ids=[c[0] for c in DECLARED_BATTERY])
+def test_declared_points_converge_only_within_tol(f, exact, tol):
+    result = hk_integrate(f, LENGTH, Box.unit(), tol=tol, budget=100_000)
+    assert not result.converged or abs(result.value - exact) <= tol
 
 
 class TestIndefinite:
@@ -650,8 +707,8 @@ class TestIndefinite:
     def test_singular_nest_under_a_forced_grid(self):
         table = indefinite_hk("inv_sqrt", LENGTH, Box.unit(), depth=6, tol=1e-6)
         assert table.result.converged
-        assert table.result.evaluations == 20_015
-        assert table.value(Box.unit()) == pytest.approx(1.9999999999995022,
+        assert table.result.evaluations == 2_415
+        assert table.value(Box.unit()) == pytest.approx(1.999999999661208,
                                                         rel=1e-15)
 
     @pytest.mark.parametrize("expr,exact", [
