@@ -145,7 +145,8 @@ def check_monotone(
         return MonotoneVerdict(False, False, [(None, float(p)) for p in bad])
     if F_table.kind != "table":
         raise ValueError("check_monotone expects a table-backed indefinite")
-    failures = [(cell, value) for cell, value in F_table.entries.items() if value < -tol]
+    table = F_table.entries  # a Box is built only for a failing cell
+    failures = [(table.grid.cell(d, js), v) for d, js, v in table.by_key() if v < -tol]
     return MonotoneVerdict(not failures, True, failures)
 
 

@@ -19,12 +19,13 @@ its value is s1, and its gap |s1 - s2| feeds the nest's defect.
 The box is cut on each axis at the points' coordinates and midway between
 consecutive ones (`_pieces`), so each piece's tree holds at most one point,
 at a corner, and the cells that hold it are the corner cells, one per
-depth: a shrinking nest (`_Nest`).  The masses of the successive "rings"
-peeled off the nest are extrapolated geometrically to estimate the
-remaining mass, and that estimate doubles as the nest's error indicator.
-This converges for monotone endpoint blow-ups (inv_sqrt) and for
-oscillating-unbounded derivatives (hk_derivative) alike, where any fixed
-interior-tag rule provably stalls.
+depth: a shrinking nest (`_Nest`).  A cell's key alone decides whether
+the point tags it and which "ring" peeled off the nest it joins
+(`_Nest.ring`).  The rings' masses are extrapolated geometrically to
+estimate the remaining mass, and that estimate doubles as the nest's error
+indicator.  This converges for monotone endpoint blow-ups (inv_sqrt) and
+for oscillating-unbounded derivatives (hk_derivative) alike, where any
+fixed interior-tag rule provably stalls.
 
 A run stops when the summed defects and the change between two successive
 global sums are both below tol/2.  A round refines the nest while its defect
@@ -68,6 +69,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -148,18 +150,24 @@ class _Nest:
     cell.  The rings' masses and defects are kept in the order peeled.
     """
 
-    __slots__ = ("floats", "corner", "key", "masses", "defects", "correction", "defect")
+    __slots__ = ("floats", "cells", "key", "masses", "defects", "correction", "defect")
 
     def __init__(self, point, box: Box):
         self.floats = tuple(float(c) for c in point)
-        self.corner = tuple(int(c == hi) for c, (lo, hi) in zip(point, box.intervals))
+        corner = [int(c == hi) for c, (lo, hi) in zip(point, box.intervals)]
+        # indices of the cell at the corner, at each depth a tree reaches
+        self.cells = [tuple(((1 << d) - 1) * c for c in corner)
+                      for d in range(CHAIN_DEPTH_CAP + 4)]
         self.key = None  # of the leaf tagged at the point
         self.masses, self.defects = [], []  # per ring
         self.correction = self.defect = 0.0
 
-    def cell(self, d) -> tuple:
-        """Indices of the depth-d cell at the corner."""
-        return tuple(((1 << d) - 1) * c for c in self.corner)
+    def ring(self, key) -> int:
+        """The depth of the deepest ancestor of cell `key` at the corner: the
+        ring a regular cell joins, peeled off when that ancestor was refined,
+        and for the corner cell, which the point tags, its own depth."""
+        d, js = key
+        return d - max(map(operator.xor, js, self.cells[d])).bit_length()
 
     def update(self, leaves):
         # The remaining mass inside a nest is extrapolated geometrically
@@ -234,21 +242,19 @@ class _Nest:
 
 
 class _Leaf:
-    __slots__ = ("key", "singular", "value", "defect", "l2", "l3", "l4", "ring")
+    __slots__ = ("key", "value", "defect", "l2", "l3", "l4")
 
-    def __init__(self, key, singular, value, defect, l2, l3, l4, ring):
+    def __init__(self, key, value, defect, l2, l3, l4):
         self.key = key
-        self.singular = singular  # the _Nest whose point tags the cell, or None
         self.value = value  # a tagged cell's: its s1, with the defect |s1 - s2|
         self.defect = defect
-        # cached probes (key, singular, s1) one/two/three levels down,
-        # flat in nested child order; reused by the children on refinement.
-        # None on a leaf at an indefinite table's grid depth until its first
-        # refinement (`_Tree.caches`); no leaf exists above that depth.
+        # cached probes (key, s1) one/two/three levels down, flat in nested
+        # child order; reused by the children on refinement.  None on a leaf
+        # at an indefinite table's grid depth until its first refinement
+        # (`_Tree.caches`); no leaf exists above that depth.
         self.l2 = l2
         self.l3 = l3
         self.l4 = l4
-        self.ring = ring  # (_Nest, ring index) or None
 
 
 def _make_g_eval(G: IntervalFunction, geom: DyadicGrid):
@@ -306,16 +312,21 @@ class _Tree:
         trap = total / len(corners) * self.g_eval(key)
         return abs(trap - s1)
 
-    def probes(self, key, nest, r, order=None) -> list:
+    def tagged(self, key) -> bool:
+        """Whether the nest's point tags cell `key`: the corner cell of its
+        depth, the one cell whose `_Nest.ring` is its own depth."""
+        return self.nest is not None and self.nest.cells[key[0]] == key[1]
+
+    def probes(self, key, r, order=None) -> list:
         """s1 = f(tag) G(Q) of each cell Q r levels below cell `key`, in
-        nested order, tagged at its center or, at the corner cell when `nest`
-        (the nest of `key`, or None) tags `key`, at the nest's point.  f takes
-        the tags in one `eval_block` call, in `order` (nested positions) if
-        given; the first failure in that order is raised, f's before G's."""
+        nested order, tagged at its center or, at the corner cell when the
+        nest's point tags `key`, at the point.  f takes the tags in one
+        `eval_block` call, in `order` (nested positions) if given; the first
+        failure in that order is raised, f's before G's."""
         geom = self.geom
         tags = geom.centers(key, r)
-        if nest is not None:
-            tags[geom.index(r, nest.cell(r))] = nest.floats
+        if self.tagged(key):
+            tags[geom.index(r, self.nest.cells[r])] = self.nest.floats
         tags = tags if order is None else [tags[i] for i in order]
         self.evals += len(tags)
         fx, failure = [], None
@@ -334,31 +345,29 @@ class _Tree:
             raise TagEvalError(tags[len(fx)], geom.cell(*keys[len(fx)]), failure) from failure
         return s1 if order is None else [v for _, v in sorted(zip(order, s1))]
 
-    def cache(self, key, nest, r, values=None) -> list:
-        """(key, nest or None, s1) of each cell r levels below cell `key`, in
-        nested order, from its s1 `values`, or else from one `probes` block."""
+    def cache(self, key, r, values=None) -> list:
+        """(key, s1) of each cell r levels below cell `key`, in nested order,
+        from its s1 `values`, or else from one `probes` block."""
         if values is None:
-            values = self.probes(key, nest, r)
-        corner = nest and nest.cell(key[0] + r)
-        return [(k, nest if k[1] == corner else None, v)
-                for k, v in zip(self.geom.descendants(key, r), values)]
+            values = self.probes(key, r)
+        return list(zip(self.geom.descendants(key, r), values))
 
     # -- leaf management
 
-    def make_leaf(self, key, probe=None, l2=None, l3=None, ring=None):
-        """The leaf of cell `key` from its probe (nest or None, s1) and its
-        cached probes one and two levels down, each one block where not
-        given (at the root); the probes three levels down are one block."""
-        singular, s1 = probe or (self.nest, self.probes(key, self.nest, 0)[0])
-        l2, l3 = l2 or self.cache(key, singular, 1), l3 or self.cache(key, singular, 2)
-        l4 = self.cache(key, singular, 3)
-        value, defect = self._estimate(key, singular, s1, fsum([c[2] for c in l2]),
-                                       fsum([g[2] for g in l3]), fsum([h[2] for h in l4]))
-        return self.add_leaf(_Leaf(key, singular, value, defect, l2, l3, l4, ring))
+    def make_leaf(self, key, s1=None, l2=None, l3=None):
+        """The leaf of cell `key` from its probe s1 and its cached probes one
+        and two levels down, each one block where not given (at the root);
+        the probes three levels down are one block."""
+        s1 = self.probes(key, 0)[0] if s1 is None else s1
+        l2, l3 = l2 or self.cache(key, 1), l3 or self.cache(key, 2)
+        l4 = self.cache(key, 3)
+        value, defect = self._estimate(key, s1, fsum([c[1] for c in l2]),
+                                       fsum([g[1] for g in l3]), fsum([h[1] for h in l4]))
+        return self.add_leaf(_Leaf(key, value, defect, l2, l3, l4))
 
-    def _estimate(self, key, singular, s1, s2, s3, s4):
+    def _estimate(self, key, s1, s2, s3, s4):
         """(value, defect) of a leaf from its midpoint sums at four scales."""
-        if singular is not None:
+        if self.tagged(key):
             return s1, abs(s1 - s2)
         # one-step Richardson of the composite midpoint sums at three
         # consecutive scales; the gap between the two finest is the
@@ -390,14 +399,18 @@ class _Tree:
             defect += EDGE_GUARD * self._edge_gap(key, s1, s2)
         return value, defect
 
-    def tally(self, value, defect, ring, sign=1.0):
-        """Add a cell's value and defect to the running sums and to its ring
-        (`sign` -1.0 takes them off), opening the ring at its first cell:
-        the only code that moves these sums."""
+    def tally(self, key, value, defect, sign=1.0):
+        """Add the value and defect of cell `key` to the running sums and, in
+        a nest, to its ring (`sign` -1.0 takes them off), opening the ring at
+        its first cell; the defect of the cell the point tags goes to the
+        nest's own.  The only code that moves these sums."""
+        nest = self.nest
+        r = -1 if nest is None else nest.ring(key)
         self.sum_values += sign * value
+        if r == key[0]:
+            return
         self.sum_defects += sign * defect
-        if ring is not None:
-            nest, r = ring
+        if r >= 0:
             if r == len(nest.masses):  # the first cell of the nest's next ring
                 nest.masses.append(0.0)
                 nest.defects.append(0.0)
@@ -406,25 +419,16 @@ class _Tree:
 
     def add_leaf(self, leaf):
         self.leaves[leaf.key] = leaf
-        if leaf.singular is not None:  # the nest's defect covers its tagged cell
-            leaf.singular.key = leaf.key
+        if self.tagged(leaf.key):  # the nest's defect covers its tagged cell
+            self.nest.key = leaf.key
         elif leaf.key[0] < MAX_DEPTH and leaf.defect > 0.0:
             heapq.heappush(self.heap, (-leaf.defect, leaf.key))
-        self.tally(leaf.value, leaf.defect if leaf.singular is None else 0.0, leaf.ring)
+        self.tally(leaf.key, leaf.value, leaf.defect)
         return leaf
 
     def drop_leaf(self, leaf):
         del self.leaves[leaf.key]
-        self.tally(leaf.value, leaf.defect if leaf.singular is None else 0.0, leaf.ring, -1.0)
-
-    def open_ring(self, leaf):
-        """Drop `leaf` and return the ring its regular children join: its
-        own, or in a nest the next ring, which `add_leaf` counts when its
-        first cell comes."""
-        self.drop_leaf(leaf)
-        if leaf.singular is None:
-            return leaf.ring
-        return leaf.singular, len(leaf.singular.masses)
+        self.tally(leaf.key, leaf.value, leaf.defect, -1.0)
 
     def caches(self, leaf):
         """The leaf's cached probes one, two and three levels down; a leaf
@@ -433,17 +437,16 @@ class _Tree:
         if leaf.l2 is None:
             c, n = self.geom.index(*leaf.key), self.geom.dim
             leaf.l2, leaf.l3, leaf.l4 = [
-                self.cache(leaf.key, leaf.singular, r, v[c << n * r:(c + 1) << n * r])
+                self.cache(leaf.key, r, v[c << n * r:(c + 1) << n * r])
                 for r, v in enumerate(self.grid_probes, 1)]
         return leaf.l2, leaf.l3, leaf.l4
 
     def refine(self, leaf):
         m = 2**self.geom.dim
         l2, l3, l4 = self.caches(leaf)
-        ring = self.open_ring(leaf)
-        for i, (ck, csing, cs1) in enumerate(l2):
-            self.make_leaf(ck, (csing, cs1), l3[i * m:(i + 1) * m],
-                           l4[i * m * m:(i + 1) * m * m], None if csing is not None else ring)
+        self.drop_leaf(leaf)
+        for i, (ck, cs1) in enumerate(l2):
+            self.make_leaf(ck, cs1, l3[i * m:(i + 1) * m], l4[i * m * m:(i + 1) * m * m])
 
     def force_grid(self, root, depth):
         """Refine every cell, level by level, from `root` down to `depth`;
@@ -458,10 +461,10 @@ class _Tree:
         leaf is made but the nest's, which `update_nest` reads; the leaves
         at `depth` get their probe caches from `caches`, on first refinement.
         """
-        geom, m, n, nest = self.geom, 2**self.geom.dim, 8**self.geom.dim, self.nest
-        vals = [[p[2] for p in ps] for ps in (root.l2, root.l3, root.l4)]
+        geom, m, n = self.geom, 2**self.geom.dim, 8**self.geom.dim
+        vals = [[p[1] for p in ps] for ps in (root.l2, root.l3, root.l4)]
         # the level's cells in key order, as nested positions, and each
-        # one's (value, defect, ring), or None for a leaf: the root, the nest's
+        # one's (key, value, defect), or None for a leaf: the root, the nest's
         order, above = [0], [None]
         for d in range(depth):
             if d + 1 == depth:  # the first convergence check's previous total
@@ -471,27 +474,23 @@ class _Tree:
             kids = [c for p in order for c in range(p * m, p * m + m)]
             # f sees the probes in key order of their parents, in 1-D the nested order
             perm = None if geom.dim == 1 else [i for c in kids for i in range(c * n, c * n + n)]
-            v4 = self.probes(root.key, nest, d + 4, perm)
-            spot = -1 if nest is None else geom.index(d + 1, nest.cell(d + 1))  # the nest's cell
+            v4 = self.probes(root.key, d + 4, perm)
             cells = [None] * len(keys)
             for p in order:
                 if above[p] is None:
-                    ring = self.open_ring(self.leaves[nest.key] if d else root)
+                    self.drop_leaf(self.leaves[self.nest.key] if d else root)
                 else:  # drop_leaf's sums, with no leaf
-                    value, defect, ring = above[p]
-                    self.tally(value, defect, ring, -1.0)
+                    self.tally(*above[p], -1.0)
                 for c in range(p * m, p * m + m):
-                    key, singular = keys[c], nest if c == spot else None
-                    s1, s2 = v1[c], fsum(v2[c * m:c * m + m])
-                    value, defect = self._estimate(key, singular, s1, s2,
+                    key, s1, s2 = keys[c], v1[c], fsum(v2[c * m:c * m + m])
+                    value, defect = self._estimate(key, s1, s2,
                                                    fsum(v3[c * m * m:(c + 1) * m * m]),
                                                    fsum(v4[c * n:c * n + n]))
-                    if singular is None and d + 1 < depth:  # add_leaf's sums, with no leaf
-                        self.tally(value, defect, ring)
-                        cells[c] = value, defect, ring
+                    if d + 1 < depth and not self.tagged(key):  # add_leaf's sums, with no leaf
+                        self.tally(key, value, defect)
+                        cells[c] = key, value, defect
                         continue
-                    self.add_leaf(_Leaf(key, singular, value, defect, None, None, None,
-                                        None if singular is not None else ring))
+                    self.add_leaf(_Leaf(key, value, defect, None, None, None))
             order = kids if perm is None else sorted(range(len(keys)), key=keys.__getitem__)
             above, vals = cells, [v2, v3, v4]
         self.grid_probes = vals

@@ -676,13 +676,17 @@ class DyadicTable(Mapping):
     def __len__(self):
         return sum(len(level) - level.count(None) for level in self.levels)
 
-    def by_depth(self) -> Iterator:
-        """(d, Box, value) for each cell with a value, by depth, then in
+    def by_key(self) -> Iterator:
+        """(d, js, value) for each cell with a value, by depth, then in
         lexicographic order."""
         for d, level in enumerate(self.levels):
             for js in itertools.product(range(2**d), repeat=self.grid.dim):
                 if (value := level[self.grid.index(d, js)]) is not None:
-                    yield d, self.grid.cell(d, js), value
+                    yield d, js, value
+
+    def by_depth(self) -> Iterator:
+        """(d, Box, value) for each cell with a value, in `by_key`'s order."""
+        return ((d, self.grid.cell(d, js), value) for d, js, value in self.by_key())
 
 
 def _fine_partition(box: Box, gauge: Gauge, budget: int, pick) -> TaggedPartition:

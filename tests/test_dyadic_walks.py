@@ -416,12 +416,12 @@ class PerLeafTree(hk._Tree):
         self.corners.update(range(start, len(self.f_eval.calls)))
         return gap
 
-    def probes(self, key, nest, r, order=None):
+    def probes(self, key, r, order=None):
         assert order is None
         out = []
         for k in self.geom.descendants(key, r):
-            tagged = nest is not None and k[1] == nest.cell(k[0])
-            tag = nest.floats if tagged else self.geom.center(k)
+            tagged = self.tagged(key) and k[1] == self.nest.cells[k[0]]
+            tag = self.nest.floats if tagged else self.geom.center(k)
             self.evals += 1
             try:
                 fv = self.f_eval(tag)
@@ -489,19 +489,18 @@ def recorded(source, dim=1):
 
 def tree_state(tree, prev):
     """Everything the adaptive phase reads, with floats as their bits and
-    the nest as 0."""
-    def nest(n):
-        return None if n is None else 0
+    each cell's ring in the nest, or None."""
+    def ring(key):
+        return None if tree.nest is None else tree.nest.ring(key)
 
     def probes(cache):
-        return [(k, nest(s), v.hex()) for k, s, v in cache]
+        return [(k, ring(k), v.hex()) for k, v in cache]
 
-    leaves = [(lf.key, nest(lf.singular), lf.value.hex(), lf.defect.hex(),
-               lf.ring and (nest(lf.ring[0]), lf.ring[1]),
+    leaves = [(lf.key, ring(lf.key), lf.value.hex(), lf.defect.hex(),
                *map(probes, tree.caches(lf)))
               for lf in tree.leaves.values()]
     live = sorted((neg, key) for neg, key in tree.heap if key in tree.leaves
-                  and tree.leaves[key].singular is None and -neg == tree.leaves[key].defect)
+                  and not tree.tagged(key) and -neg == tree.leaves[key].defect)
     tree.update_nest()
     nests = [(len(n.masses), n.correction.hex(), n.defect.hex(), n.key)
              for n in [tree.nest] if n is not None]
@@ -600,8 +599,8 @@ def test_a_table_that_converges_on_its_grid_builds_no_probe_cache():
     # refining a grid leaf builds its caches, as slices of the grid's probes
     leaf = tree.leaves[(10, (5,))]
     l2, l3, l4 = tree.caches(leaf)
-    assert [k for k, _, _ in l4] == DyadicGrid(Box.unit(), 13).descendants(leaf.key, 3)
-    assert [v for _, _, v in l2] == tree.grid_probes[0][10:12]
+    assert [k for k, _ in l4] == DyadicGrid(Box.unit(), 13).descendants(leaf.key, 3)
+    assert [v for _, v in l2] == tree.grid_probes[0][10:12]
 
 
 def test_a_failing_tag_mid_grid_raises_as_the_per_leaf_loop():
