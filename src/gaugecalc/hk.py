@@ -83,6 +83,7 @@ from .intervals import (
     as_rational,
     enumerate_partitions,
     fsum,
+    fsums,
     point_floats,
 )
 
@@ -706,16 +707,18 @@ def indefinite_hk(
         result = tree.run(tol, min_depth=depth)
         nest = tree.nest
         host = nest.key if nest is not None and nest.correction else None
-        groups = {}
+        levels, groups = [[0.0] * m**depth], {}
         for (d, js), leaf in tree.leaves.items():
-            groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(
-                leaf.value + (nest.correction if (d, js) == host else 0.0))
-        levels = [[0.0] * m**depth]
+            v = leaf.value + (nest.correction if (d, js) == host else 0.0)
+            if d == depth:  # fsum([v]) is v + 0.0: -0.0 comes out as 0.0
+                levels[0][grid.index(d, js)] = v + 0.0
+            else:
+                groups.setdefault(tuple(j >> (d - depth) for j in js), []).append(v)
         for js, vals in groups.items():
             levels[0][grid.index(depth, js)] = fsum(vals)
     # each coarser level sums the blocks of 2^n children in the finer one
     for _ in range(depth):
-        levels.insert(0, [fsum(levels[0][i:i + m]) for i in range(0, len(levels[0]), m)])
+        levels.insert(0, fsums(zip(*[levels[0][k::m] for k in range(m)])))
     table = IntervalFunction.table(DyadicTable(grid, levels), box, depth, name=f"indef({f.name})")
     table.result = result
     return table
@@ -772,7 +775,7 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
     Restricted to the finite class generated by `grid`: partitions from
     enumerate_partitions, tags at grid points inside each cell, keeping
     only delta-fine configurations.  Returns -inf when no configuration
-    is delta-fine.
+    is delta-fine, and nan when |psi| is nan at a fine pair of any cell.
     """
     points = sorted({as_rational(g) for g in grid})
     tag_points = [(p,) for p in points]
@@ -787,24 +790,15 @@ def delta_variation_bruteforce(psi, box: Box, gauge, grid) -> float:
         for t in tag_points:
             if cell.contains(t) and _diam_lt(cell, gauge(t)):
                 v = abs(psi(cell, t))
-                if best is None or v > best:
+                if best is None or v > best or v != v:  # a nan stays
                     best = v
         admissible[cell] = best
         return best
 
-    overall = -math.inf
-    for partition in enumerate_partitions(box, points):
-        terms = []
-        ok = True
-        for cell in partition:
-            best = cell_best(cell)
-            if best is None:
-                ok = False
-                break
-            terms.append(best)
-        if ok:
-            overall = max(overall, fsum(terms))
-    return overall
+    partitions = [[cell_best(cell) for cell in p] for p in enumerate_partitions(box, points)]
+    if any(v != v for v in admissible.values() if v is not None):
+        return math.nan
+    return max((fsum(terms) for terms in partitions if None not in terms), default=-math.inf)
 
 
 def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
@@ -813,49 +807,60 @@ def delta_variation_dp_tables(psi, box: Box, gauges, depth: int) -> list:
 
     Recurrence: V(Q) = max(best admissible tag value, sum V(children));
     realizes the superadditive envelope on the dyadic class.  Cells whose
-    subtree admits no delta-fine configuration carry -inf.  One walk
-    serves every gauge: depth first, each cell before its children, it
-    keeps the (cell, tag) pairs that some gauge admits, a tag as its point
-    key (`DyadicGrid.admitted`), and each pair is then scored once, in the
-    walk's order, so a gauge's error comes before psi's.  The residual psi
-    of `residual_cell_fn` is read by index: its f takes the admitted tags'
-    floats in one `eval_block` call, in the order first admitted.  Any
-    other psi is called with the cell's Box and the exact tag.  The levels
-    are then summed bottom-up by index.
+    subtree admits no delta-fine configuration carry -inf, and those whose
+    subtree has a fine pair where |psi| is nan carry nan.  Cells are scored
+    a depth at a time, on flat lists of their candidate tags' point keys
+    (`DyadicGrid.candidates`) and gauge masks, all gauge reads first; a
+    gauge's level is the max over the pairs it admits.  A depth first walk
+    serves only for order: the residual psi of `residual_cell_fn` is read
+    by index, its f taking the admitted tags' floats in one `eval_block`
+    call, in the order first admitted; any other psi is called in the
+    walk's order with the cell's Box and the exact tag.  The levels are
+    then summed bottom-up by index.
     """
     if depth < 0 or depth > DP_DEPTH_CAP:
         raise ValueError(f"depth must be in 0..{DP_DEPTH_CAP}")
-    grid, m = DyadicGrid(box, depth + 1, gauges), 2**box.dim
-    levels = [[[-math.inf] * m**d for d in range(depth + 1)] for _ in gauges]
-    walk, points, pairs, counts = grid.walk(depth), {}, [], []
-    for d, js in walk:  # pairs: (position in points, gauge mask), flat
-        start = len(pairs)
-        for key, mask in grid.admitted(d, js):
-            if mask:
-                pairs += (points.setdefault(key, len(points)), mask)
-        counts.append((len(pairs) - start) // 2)
-    residual = isinstance(psi, _Residual)
-    keys, stream = list(points), zip(*[iter(pairs)] * 2)
-    if residual:
-        fx = list(map(float, psi.f.eval_block(
-            [tuple((a + k * b) / c for k, (a, b, c) in zip(key, grid.axes)) for key in keys])))
-        read_G, read_F = psi.G.on_grid(grid), psi.F.on_grid(grid)
-    for (d, js), n in zip(walk, counts):
-        if n:
-            i = grid.index(d, js)
-            if residual:
-                gq, fq = read_G(d, js), read_F(d, js)
-            else:
-                cell = grid.cell(d, js)
-            for p, mask in itertools.islice(stream, n):
-                v = abs(fx[p] * gq - fq if residual else psi(cell, grid.tag(keys[p])))
-                for g, table in enumerate(levels):
-                    if mask >> g & 1:
-                        table[d][i] = max(table[d][i], v)
+    grid, m, C = DyadicGrid(box, depth + 1, gauges), 2**box.dim, 2**box.dim + 1  # C per cell
+    cells = [[js for _, js in grid.descendants((0, (0,) * box.dim), d)] for d in range(depth + 1)]
+    keys = [grid.candidates(d, level) for d, level in enumerate(cells)]
+    masks = [grid.masks(d, level) for d, level in enumerate(keys)]
+    walk = [(0, 0)]  # (d, i) depth first, each cell before its children
+    for _ in range(depth):
+        walk = [(0, 0)] + [(d + 1, b * m**d + i) for b in range(m) for d, i in walk]
+    if isinstance(psi, _Residual):
+        block = list(dict.fromkeys(keys[d][p] for d, i in walk
+                                   for p in range(C * i, C * i + C) if masks[d][p]))
+        xs = [[(a + k * b) / c for k in ks] for ks, (a, b, c) in zip(zip(*block), grid.axes)]
+        fx = dict(zip(block, map(float, psi.f.eval_block(list(zip(*xs))))))
+        read_G, read_F, vals = psi.G.on_grid(grid), psi.F.on_grid(grid), []
+        for d, level in enumerate(cells):
+            live = map(any, zip(*[masks[d][c::C] for c in range(C)]))  # cells with a pair
+            gf = [(read_G(d, js), read_F(d, js)) if ok else (0, 0) for js, ok in zip(level, live)]
+            vals.append([abs(fx[k] * g - q) if mask else -math.inf for k, mask, (g, q) in zip(
+                keys[d], masks[d], itertools.chain.from_iterable(zip(*[gf] * C)))])
+    else:
+        vals = [[-math.inf] * len(level) for level in keys]
+        for d, i in walk:
+            if any(masks[d][C * i:C * i + C]):
+                cell = grid.cell(d, cells[d][i])
+                for p in range(C * i, C * i + C):
+                    if masks[d][p]:
+                        vals[d][p] = abs(psi(cell, grid.tag(keys[d][p])))
+    levels = [[] for _ in gauges]
+    for v, mk in zip(vals, masks):
+        for g, table in enumerate(levels):
+            vg = v if all(k >> g & 1 for k in set(mk) - {0}) else [  # all admitted pairs, or
+                x if k >> g & 1 else -math.inf for x, k in zip(v, mk)]  # gauge g's
+            table.append(list(map(max, *[vg[c::C] for c in range(C)])))
     for table in levels:  # -inf propagates through the sums
         for d in range(depth - 1, -1, -1):
             below = table[d + 1]
-            table[d] = [max(b, fsum(below[m * i:m * i + m])) for i, b in enumerate(table[d])]
+            table[d] = list(map(max, table[d], fsums(zip(*[below[k::m] for k in range(m)]))))
+    nans = [(d, p) for d, v in enumerate(vals) if any(map(math.isnan, v))
+            for p, x in enumerate(v) if x != x]
+    for (d, p), (g, table) in itertools.product(nans, enumerate(levels)):
+        for up in range(d + 1) if masks[d][p] >> g & 1 else ():  # the cell and those above
+            table[up][p // C // m ** (d - up)] = math.nan
     cells = DyadicGrid(box, depth)
     return [DyadicTable(cells, table) for table in levels]
 

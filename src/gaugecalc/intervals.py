@@ -86,6 +86,15 @@ def fsum(values: Sequence[float]) -> float:
         return sum(values)
 
 
+def fsums(groups) -> list:
+    """`fsum` of each sequence in `groups`."""
+    groups = list(groups)
+    try:
+        return list(map(math.fsum, groups))
+    except (OverflowError, ValueError):
+        return list(map(fsum, groups))
+
+
 @dataclass(frozen=True)
 class Box:
     """Nondegenerate closed interval in R^n with rational endpoints."""
@@ -468,7 +477,8 @@ class DyadicGrid:
         self.points = {}  # point key -> the gauges' deltas there
         first = self.first = {}  # depth -> the first cell built at that depth
         self.mask = cache(lambda d, deltas: sum(  # bit g: gauge g is fine on a depth-d cell
-            1 << g for g, delta in enumerate(deltas) if _diam_lt(first[d], delta)))
+            1 << g for g, delta in enumerate(deltas)
+            if _diam_lt(first.get(d) or self.cell(d, (0,) * self.dim), delta)))
         # the float of the exact volume of a depth-d cell, which in n-D is
         # not always `volume`'s float product (0.75 * 0.8 != 0.6)
         self.cell_volume = cache(lambda d: float(box.volume / 2 ** (d * self.dim)))
@@ -523,17 +533,6 @@ class DyadicGrid:
             for j in js:
                 i = 2 * i + (j >> b & 1)
         return i
-
-    def walk(self, depth: int) -> list:
-        """Keys of the cells to `depth`, depth first in `children` order,
-        each cell before its children."""
-        keys, stack = [], [(0, (0,) * self.dim)]
-        while stack:
-            key = stack.pop()
-            keys.append(key)
-            if key[0] < depth:
-                stack.extend(reversed(self.children(key)))
-        return keys
 
     def bounds(self, key) -> list:
         d, js = key
@@ -613,13 +612,27 @@ class DyadicGrid:
             return [(lo + (2 * j + 1) * w * scale,) for j in range(j0, j0 + (1 << r))]
         return [self.center(k) for k in self.descendants(key, r)]
 
+    def candidates(self, d: int, cells) -> list:
+        """Point keys of the candidate tags of the depth-d `cells` (d < top),
+        flat, cell by cell: the center, then `Box.corners` order."""
+        s, axes = self.top - d, list(zip(*cells))
+        centers = list(zip(*[[(2 * j + 1) << (s - 1) for j in js] for js in axes]))
+        corners = [list(zip(*ends)) for ends in itertools.product(
+            *[([j << s for j in js], [(j + 1) << s for j in js]) for js in axes])]
+        return list(itertools.chain.from_iterable(zip(centers, *corners)))
+
+    def masks(self, d: int, keys) -> list:
+        """`admitted`'s mask of each point key on a depth-d cell, all at once."""
+        unique, points, readers = dict.fromkeys(keys), self.points, self.readers
+        new = [key for key in unique if key not in points]
+        points.update(zip(new, zip(*[map(read, new) for read in readers]) if readers else [()] * len(new)))
+        mask = dict(zip(unique, map(self.mask, itertools.repeat(d), map(points.get, unique))))
+        return list(map(mask.__getitem__, keys))
+
     def admitted(self, d: int, js) -> Iterator:
         """(point key, mask) for each candidate tag of cell (d < top, js),
-        lazily: the center, then `Box.corners` order.  Bit g of the mask is
-        set when gauge g is fine there.  Each gauge reads a key once, and
-        only its delta is kept; `tag` builds a tag that is used."""
-        if d not in self.first:
-            self.cell(d, js)
+        lazily, in `candidates` order: the center, then `Box.corners` order.
+        Each gauge reads a key once; `tag` builds a tag that is used."""
         s = self.top - d
         corners = itertools.product(*[(j << s, (j + 1) << s) for j in js])
         for key in (tuple((2 * j + 1) << (s - 1) for j in js), *corners):
@@ -770,4 +783,4 @@ def dyadic_cells(box: Box, depth: int) -> Iterator[Box]:
     """All dyadic subcells of `box` at exactly `depth` bisection levels, in
     nested (`Box.bisect` applied `depth` times) order."""
     grid = DyadicGrid(box, depth)
-    return (grid.cell(*key) for key in grid.walk(depth) if key[0] == depth)
+    return (grid.cell(*key) for key in grid.descendants((0, (0,) * box.dim), depth))

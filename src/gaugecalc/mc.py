@@ -30,7 +30,7 @@ from .intervals import (
     Gauge,
     as_point,
     as_rational,
-    fsum,
+    fsums,
 )
 from .limits import LimitDivergesError, one_sided_limit
 
@@ -693,6 +693,8 @@ def control_from_gauges(
     tables = delta_variation_dp_tables(psi, box, gauges, depth)
     for k, table in enumerate(tables, start=1):
         root = table.levels[0][0]
+        if math.isnan(root):
+            raise CertificationError(f"gauge {k} has V = nan: psi is nan on a fine pair")
         if root == -math.inf:
             raise CertificationError(
                 f"gauge {k} admits no delta-fine dyadic configuration"
@@ -707,11 +709,11 @@ def control_from_gauges(
                 f"certified bound missing for k={k}: V={root} > 2^-{k}"
             )
 
-    # by index; the volume is the float of the exact one
-    grid = tables[0].grid
-    levels = [[grid.cell_volume(d) + fsum([k * v for k, v in enumerate(vs, start=1)])
-               for vs in zip(*(table.levels[d] for table in tables))]
-              for d in range(depth + 1)]
+    # by index, a depth at a time; the volume is the float of the exact one
+    grid, levels = tables[0].grid, []
+    for d in range(depth + 1):
+        weighted = zip(*[[k * v for v in t.levels[d]] for k, t in enumerate(tables, start=1)])
+        levels.append(list(map(grid.cell_volume(d).__add__, fsums(weighted))))
     phi = SuperadditiveFn.table(
         DyadicTable(grid, levels), box, depth,
         name=f"|Q|+sum k*V_k (K={K})",

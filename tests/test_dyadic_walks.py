@@ -105,6 +105,7 @@ def ref_random(box, gauge, rng):
 
 BOX_1D = Box.of(("1/3", "17/32"))
 BOX_2D = Box.of((0, "3/4"), ("1/5", 1))
+BOX_3D = Box.of((0, "3/4"), ("1/5", 1), ("-1/2", "1/4"))
 
 
 def gauges_for(box):
@@ -143,8 +144,12 @@ def tag_psi(calls):
     return psi
 
 
-@pytest.mark.parametrize("depth", range(6))
-@pytest.mark.parametrize("box", [BOX_1D, BOX_2D], ids=["1d", "2d"])
+RECURSION_CASES = [(box, d) for box in (BOX_1D, BOX_2D) for d in range(6)] + [
+    (BOX_3D, d) for d in range(4)]
+
+
+@pytest.mark.parametrize("box,depth", RECURSION_CASES,
+                         ids=[f"{b.dim}d-{d}" for b, d in RECURSION_CASES])
 def test_dp_tables_and_psi_calls_equal_the_recursion(box, depth):
     gauges = gauges_for(box)
     calls, ref_calls = [], []
@@ -779,23 +784,30 @@ def test_every_table_iterates_by_depth_then_lexicographically(source, box, depth
 
 
 def dp_case(box, depth):
-    """(f, G, F) of a residual: in 1-D F is an indefinite table, in 2-D a
-    table given as a Box-keyed dict of the exact increments of x1^2 x2."""
+    """(f, G, F) of a residual: in 1-D F is an indefinite table, in 2-D and
+    3-D a table given as a Box-keyed dict of the exact increments of x1^2 x2
+    and x1^2 x2 x3."""
     calls = []
     if box.dim == 1:
         f = PointFunction.from_callable(lambda x: calls.append(x) or 3 * x * x - 1 / 3,
                                         "3x^2-1/3")
         F = indefinite_hk("x^3-x/3", None, box, depth=depth, tol=1e-9)
         return f, IntervalFunction.length(), F, calls
-    f = PointFunction.from_callable(lambda p: calls.append(p) or 2 * p[0] * p[1],
-                                    "2x1x2", dim=2)
-    exact = IntervalFunction.from_generator(PointFunction.from_expr("x1^2*x2", dim=2))
+    if box.dim == 3:
+        f = PointFunction.from_callable(lambda p: calls.append(p) or p[0] * p[1] - p[2],
+                                        "x1x2-x3", dim=3)
+        exact = IntervalFunction.from_generator(PointFunction.from_expr("x1^2*x2*x3", dim=3))
+    else:
+        f = PointFunction.from_callable(lambda p: calls.append(p) or 2 * p[0] * p[1],
+                                        "2x1x2", dim=2)
+        exact = IntervalFunction.from_generator(PointFunction.from_expr("x1^2*x2", dim=2))
     cells = [c for d in range(depth + 1) for c in dyadic_cells(box, d)]
     F = IntervalFunction.table({c: exact.value(c) for c in cells}, box, depth)
-    return f, IntervalFunction.volume(2), F, calls
+    return f, IntervalFunction.volume(box.dim), F, calls
 
 
-DP_CASES = [(BOX_1D, d) for d in range(7)] + [(BOX_2D, d) for d in range(6)]
+DP_CASES = [(BOX_1D, d) for d in range(7)] + [(BOX_2D, d) for d in range(6)] + [
+    (BOX_3D, d) for d in range(4)]
 
 
 @pytest.mark.parametrize("box,depth", DP_CASES,
@@ -948,6 +960,42 @@ def test_a_failing_f_raises_from_the_dp_as_from_the_recursion():
         ref_dp_tables(ref_residual(f, G, F), BOX_1D, gauges, 5)
     with pytest.raises(ZeroDivisionError, match="^gauge$"):
         delta_variation_dp_tables(hk.residual_cell_fn(f, G, F), BOX_1D, gauges, 5)
+
+
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "box psi"])
+def test_every_gauge_read_comes_once_and_before_f_and_psi(residual):
+    events = []
+    f, G, F, _ = dp_case(BOX_1D, 4)
+    if residual:
+        f = PointFunction.from_callable(lambda x: events.append("f") or 3 * x * x - 1 / 3, "f")
+        psi = hk.residual_cell_fn(f, G, F)
+    else:
+        def psi(cell, tag):
+            events.append("psi")
+            return float(cell.volume)
+    gauges = [Gauge(lambda p, g=g, i=i: events.append((i, p)) or g(p))
+              for i, g in enumerate(gauges_for(BOX_1D))]
+    delta_variation_dp_tables(psi, BOX_1D, gauges, 4)
+    reads = [e for e in events if isinstance(e, tuple)]
+    assert len(reads) == len(set(reads)) and events[:len(reads)] == reads
+    assert len(events) > len(reads)
+
+
+def test_the_dp_reads_gauges_a_depth_at_a_time():
+    # a gauge fails at the center of the depth-2 cell [0,1/4] ("deep") and
+    # at the center of the depth-1 cell [1/2,1] ("shallow"); the depth-first
+    # recursion reaches the first, the DP reads every depth-1 key before any
+    # depth-2 key
+    def fn(x):
+        if x in (0.125, 0.75):
+            raise ZeroDivisionError("deep" if x == 0.125 else "shallow")
+        return 0.3
+
+    gauges = [Gauge.constant(0.3), Gauge.from_function(fn)]
+    with pytest.raises(ZeroDivisionError, match="^deep$"):
+        ref_dp_tables(lambda cell, tag: 1.0, Box.unit(), gauges, 3)
+    with pytest.raises(ZeroDivisionError, match="^shallow$"):
+        delta_variation_dp_tables(lambda cell, tag: 1.0, Box.unit(), gauges, 3)
 
 
 # ---------------------------------------------------------------------------

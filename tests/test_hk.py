@@ -914,6 +914,42 @@ class TestDeltaVariationDP:
         value = delta_variation_dp(psi, Box.unit(2), Gauge.constant(3.0), 2)
         assert value == 1.0
 
+    # |psi| on the unit box, the cells below 0.3 wide being fine (depth >= 2)
+    SPECIAL_PSI = {
+        "nan on quarters": (lambda c, t: math.nan if c.volume == Fraction(1, 4) else 0.5,
+                            math.nan),
+        "nan at 1/2": (lambda c, t: math.nan if t == (Fraction(1, 2),) else 0.5, math.nan),
+        "inf on quarters": (lambda c, t: math.inf if c.volume == Fraction(1, 4) else 0.5,
+                            math.inf),
+        "-inf at 1/2": (lambda c, t: -math.inf if t == (Fraction(1, 2),) else 0.5, math.inf),
+        # the only nan is at a tag that no cell admits
+        "nan where not fine": (lambda c, t: math.nan if t == (0,) else float(c.volume) ** 2,
+                               0.25),
+    }
+
+    @pytest.mark.parametrize("name", SPECIAL_PSI)
+    def test_nan_and_inf_psi_agree_with_bruteforce(self, name):
+        psi, expected = self.SPECIAL_PSI[name]
+        gauge = Gauge.from_function(lambda x: 1e-9 if x == 0 else 0.3)
+        grid = [Fraction(i, 4) for i in range(5)]
+        dp = delta_variation_dp(psi, Box.unit(), gauge, 2)
+        bf = delta_variation_bruteforce(psi, Box.unit(), gauge, grid)
+        for value in (dp, bf):
+            assert math.isnan(value) if math.isnan(expected) else value == expected
+
+    def test_a_nan_cell_makes_every_cell_above_it_nan(self):
+        # nan on [1/4, 3/8] alone; its sibling [3/8, 1/2] has no fine tag
+        def psi(cell, tag):
+            return math.nan if cell == Box.of(("1/4", "3/8")) else float(cell.volume)
+
+        gauge = Gauge.from_function(lambda x: 1e-9 if 0.375 <= x <= 0.5 else 0.2)
+        table = delta_variation_dp_table(psi, Box.unit(), gauge, 3)
+        above = {Box.of(("1/4", "3/8")), Box.of(("1/4", "1/2")), Box.of((0, "1/2")),
+                 Box.unit()}
+        assert table[Box.of(("3/8", "1/2"))] == -math.inf
+        for cell, value in table.items():
+            assert math.isnan(value) == (cell in above), cell
+
     def test_ge_any_single_fine_configuration(self):
         psi = volume_power_cell_fn(2.0, 2)
         gauge = Gauge.constant(0.4)

@@ -507,6 +507,21 @@ class TestControlFromGauges:
             control_from_gauges(psi, [gauge], self.box, 2)
         assert str(err.value) == "gauge 1 leaves cells without fine configurations"
 
+    @pytest.mark.parametrize("nan_at", [lambda x: x == 0.5, lambda x: x > 0],
+                             ids=["at 1/2", "past 0"])
+    def test_a_nan_residual_is_not_certified(self, nan_at):
+        # f = 2x but nan at 1/2 (or at every x > 0): the DP's V is nan, which
+        # no bound certifies; once max(V, nan) kept V, this certified the
+        # control of f = 2x, or said no configuration was fine
+        table = indefinite_hk("2*x", None, self.box, depth=4, tol=1e-10)
+        gauges = [Gauge.constant(0.5), Gauge.constant(0.25)]
+        phi = control_from_gauges(residual_cell_fn("2*x", self.G, table), gauges, self.box, 4)
+        assert phi.value(self.box) == 1.5
+        f = PointFunction.from_callable(lambda x: math.nan if nan_at(x) else 2 * x, "f")
+        with pytest.raises(CertificationError) as err:
+            control_from_gauges(residual_cell_fn(f, self.G, table), gauges, self.box, 4)
+        assert str(err.value) == "gauge 1 has V = nan: psi is nan on a fine pair"
+
 
 # the roundtrip defects: the slope of f changes sign inside [0,1]
 @pytest.mark.xfail(strict=True, raises=AssertionError,
